@@ -33,8 +33,11 @@ Accelerator::startCompute(Tick duration, Callback on_done)
     RELIEF_ASSERT(busy_, name(), ": compute without acquisition");
     Tick start = now();
     Tick end = start + duration;
+    computeBusy_.retire(start);
     computeBusy_.add(start, end);
-    sim().at(end, HostCat::Kernels,
+    // Completion runs the manager's bookkeeping; functional payloads
+    // charge their kernel math to HostCat::Kernels themselves.
+    sim().at(end, HostCat::Sched,
              [this, cb = std::move(on_done)]() {
                  tasksExecuted_.add(1);
                  busy_ = false;

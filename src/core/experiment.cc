@@ -1,6 +1,9 @@
 #include "core/experiment.hh"
 
+#include <optional>
+
 #include "kernels/scratch.hh"
+#include "sim/hostprof.hh"
 
 namespace relief
 {
@@ -13,13 +16,22 @@ runExperiment(const ExperimentConfig &config)
     // parallel runner's workers (see dag.hh resetNodeIds).
     resetNodeIds();
     resetKernelScratch(); // likewise for the kernels.scratch_* stats
-    Soc soc(config.soc);
-    for (AppId app : parseMix(config.mix)) {
-        DagPtr dag = buildApp(app, config.app);
-        soc.submit(dag, 0, config.continuous);
+    // Set-up and teardown run outside the event loop; glue scopes
+    // charge them to HostCat::Other so profiled runs attribute them.
+    std::optional<Soc> soc;
+    {
+        HostProfScope setup(HostCat::Other);
+        soc.emplace(config.soc);
+        for (AppId app : parseMix(config.mix)) {
+            DagPtr dag = buildApp(app, config.app);
+            soc->submit(dag, 0, config.continuous);
+        }
     }
-    soc.run(config.timeLimit);
-    return soc.report();
+    soc->run(config.timeLimit);
+    HostProfScope teardown(HostCat::Other);
+    MetricsReport report = soc->report();
+    soc.reset();
+    return report;
 }
 
 MetricsReport

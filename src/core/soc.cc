@@ -168,6 +168,8 @@ Soc::registerStats()
                       [this] { return dram_->writeBytes(); });
     stats_.addScalar("dram.energy_pj", "dynamic DRAM energy",
                      [this] { return dram_->energyPJ(); });
+    // Busy times cover the finished run, [0, endTick_). Mid-run reads
+    // (periodic exposition) see endTick_ == 0 and report 0.
     stats_.addScalar("dram.channel.busy_us", "channel busy time",
                      [this] {
                          return toUs(dram_->channel().busyTime(endTick_));
@@ -576,6 +578,9 @@ Tick
 Soc::run(Tick limit)
 {
     runLimit_ = limit;
+    // Busy-time stats read while the run is in flight cover [0, 0), on
+    // a second run() as on the first.
+    endTick_ = 0;
     if (sampler_)
         sampler_->start();
     endTick_ = sim_.run(limit);

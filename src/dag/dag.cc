@@ -76,6 +76,7 @@ Dag::addNode(const TaskParams &params, std::string label)
     node->label = std::move(label);
     node->params = params;
     nodes_.push_back(std::move(node));
+    nodeList_.push_back(nodes_.back().get());
     return nodes_.back().get();
 }
 
@@ -154,16 +155,6 @@ Dag::finalize(double dram_peak_gbs)
         node.resetRuntimeState();
     }
     finalized_ = true;
-}
-
-std::vector<Node *>
-Dag::allNodes()
-{
-    std::vector<Node *> out;
-    out.reserve(nodes_.size());
-    for (auto &node : nodes_)
-        out.push_back(node.get());
-    return out;
 }
 
 std::vector<Node *>

@@ -97,7 +97,7 @@ class Dag
 
     /** Nodes in insertion order (a valid topological order is enforced
      *  by finalize()). */
-    std::vector<Node *> allNodes();
+    const std::vector<Node *> &allNodes() { return nodeList_; }
     std::vector<Node *> roots();
     std::vector<Node *> leaves();
 
@@ -157,6 +157,7 @@ class Dag
     char symbol_;
     Tick relDeadline_ = 0;
     std::vector<std::unique_ptr<Node>> nodes_;
+    std::vector<Node *> nodeList_; ///< nodes_ as raw pointers, for allNodes().
     int numEdges_ = 0;
     bool finalized_ = false;
     Tick criticalPath_ = 0;

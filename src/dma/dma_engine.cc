@@ -58,13 +58,12 @@ DmaEngine::makeTag(TrafficClass cls, const TransferCtx &ctx) const
 }
 
 Tick
-DmaEngine::launch(std::vector<BandwidthResource *> path,
+DmaEngine::launch(const std::vector<BandwidthResource *> &path,
                   std::uint64_t bytes, TrafficClass cls, Callback on_done,
                   const RequestorTag &tag)
 {
     if (config_.burstBytes > 0 && bytes > config_.burstBytes) {
-        return launchChunked(std::move(path), bytes, cls,
-                             std::move(on_done), tag);
+        return launchChunked(path, bytes, cls, std::move(on_done), tag);
     }
     auto timing = reserveTransfer(path, now(), bytes, tag);
     fabric_.recordTransfer(timing.start, timing.end, bytes);
@@ -86,7 +85,7 @@ DmaEngine::launch(std::vector<BandwidthResource *> path,
 }
 
 Tick
-DmaEngine::launchChunked(std::vector<BandwidthResource *> path,
+DmaEngine::launchChunked(const std::vector<BandwidthResource *> &path,
                          std::uint64_t bytes, TrafficClass cls,
                          Callback on_done, const RequestorTag &tag)
 {
@@ -101,7 +100,7 @@ DmaEngine::launchChunked(std::vector<BandwidthResource *> path,
     // nothing else queues behind us); the callback fires at the true
     // completion time.
     ChunkState *state = acquireChunk();
-    state->path = std::move(path);
+    state->path = path; // copies into the pooled state's capacity
     state->remaining = bytes;
     state->onDone = std::move(on_done);
     state->tag = tag;
@@ -189,12 +188,12 @@ DmaEngine::readFromDram(std::uint64_t bytes, Callback on_done,
                         std::uint64_t stream_hint,
                         const TransferCtx &ctx)
 {
-    auto path = fabric_.path(dramPort_, port_);
-    auto mem = dram_.path(stream_hint);
-    path.insert(path.begin(), mem.begin(), mem.end());
-    path.insert(path.begin(), &readChannel_);
-    path.push_back(&localSpm_.port());
-    return launch(std::move(path), bytes, TrafficClass::DramRead,
+    route_.clear();
+    route_.push_back(&readChannel_);
+    dram_.appendPath(stream_hint, route_);
+    fabric_.appendPath(dramPort_, port_, route_);
+    route_.push_back(&localSpm_.port());
+    return launch(route_, bytes, TrafficClass::DramRead,
                   std::move(on_done),
                   makeTag(TrafficClass::DramRead, ctx));
 }
@@ -203,12 +202,12 @@ Tick
 DmaEngine::writeToDram(std::uint64_t bytes, Callback on_done,
                        std::uint64_t stream_hint, const TransferCtx &ctx)
 {
-    auto path = fabric_.path(port_, dramPort_);
-    path.insert(path.begin(), &localSpm_.port());
-    path.insert(path.begin(), &writeChannel_);
-    auto mem = dram_.path(stream_hint);
-    path.insert(path.end(), mem.begin(), mem.end());
-    return launch(std::move(path), bytes, TrafficClass::DramWrite,
+    route_.clear();
+    route_.push_back(&writeChannel_);
+    route_.push_back(&localSpm_.port());
+    fabric_.appendPath(port_, dramPort_, route_);
+    dram_.appendPath(stream_hint, route_);
+    return launch(route_, bytes, TrafficClass::DramWrite,
                   std::move(on_done),
                   makeTag(TrafficClass::DramWrite, ctx));
 }
@@ -222,11 +221,12 @@ DmaEngine::forwardFrom(Scratchpad &producer, PortId producer_port,
                   name(), ": use colocation, not forwarding, for the "
                   "local scratchpad");
     producer.recordRead(bytes);
-    auto path = fabric_.path(producer_port, port_);
-    path.insert(path.begin(), &producer.port());
-    path.insert(path.begin(), &readChannel_);
-    path.push_back(&localSpm_.port());
-    return launch(std::move(path), bytes, TrafficClass::SpmForward,
+    route_.clear();
+    route_.push_back(&readChannel_);
+    route_.push_back(&producer.port());
+    fabric_.appendPath(producer_port, port_, route_);
+    route_.push_back(&localSpm_.port());
+    return launch(route_, bytes, TrafficClass::SpmForward,
                   std::move(on_done),
                   makeTag(TrafficClass::SpmForward, ctx));
 }
@@ -242,8 +242,9 @@ DmaEngine::streamFrom(Scratchpad &producer, PortId producer_port,
     localSpm_.recordWrite(bytes);
     forwardBytes_.add(bytes);
 
-    auto path = fabric_.path(producer_port, port_);
-    auto timing = reserveTransfer(path, now(), bytes,
+    route_.clear();
+    fabric_.appendPath(producer_port, port_, route_);
+    auto timing = reserveTransfer(route_, now(), bytes,
                                   makeTag(TrafficClass::SpmForward, ctx));
     timing.end += config_.streamSetupLatency;
     fabric_.recordTransfer(timing.start, timing.end, bytes);

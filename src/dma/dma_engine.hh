@@ -173,10 +173,10 @@ class DmaEngine : public SimObject
     /** Ledger tag for a transfer of class @p cls under @p ctx. */
     RequestorTag makeTag(TrafficClass cls, const TransferCtx &ctx) const;
 
-    Tick launch(std::vector<BandwidthResource *> path, std::uint64_t bytes,
-                TrafficClass cls, Callback on_done,
+    Tick launch(const std::vector<BandwidthResource *> &path,
+                std::uint64_t bytes, TrafficClass cls, Callback on_done,
                 const RequestorTag &tag);
-    Tick launchChunked(std::vector<BandwidthResource *> path,
+    Tick launchChunked(const std::vector<BandwidthResource *> &path,
                        std::uint64_t bytes, TrafficClass cls,
                        Callback on_done, const RequestorTag &tag);
     void issueNextChunk(ChunkState *state);
@@ -197,6 +197,10 @@ class DmaEngine : public SimObject
     int sourceId_ = -1;
     std::vector<std::unique_ptr<ChunkState>> chunkPool_;
     std::vector<ChunkState *> chunkFree_;
+    /** Route of the transfer being issued, rebuilt in place by each
+     *  readFromDram/writeToDram/forwardFrom/streamFrom call: reusing
+     *  its capacity keeps the issue path allocation-free. */
+    std::vector<BandwidthResource *> route_;
 };
 
 } // namespace relief

@@ -23,8 +23,9 @@ Bus::registerPort(const std::string &port_name)
     return PortId(portNames_.size()) - 1;
 }
 
-std::vector<BandwidthResource *>
-Bus::path(PortId src, PortId dst)
+void
+Bus::appendPath(PortId src, PortId dst,
+                std::vector<BandwidthResource *> &out)
 {
     HostProfScope prof(HostCat::Interconnect);
     RELIEF_ASSERT(src >= 0 && src < numPorts(), name(), ": bad src port ",
@@ -32,7 +33,7 @@ Bus::path(PortId src, PortId dst)
     RELIEF_ASSERT(dst >= 0 && dst < numPorts(), name(), ": bad dst port ",
                   dst);
     RELIEF_ASSERT(src != dst, name(), ": transfer to self on port ", src);
-    return {&channel_};
+    out.push_back(&channel_);
 }
 
 void

@@ -31,7 +31,8 @@ class Bus : public Interconnect
     Bus(Simulator &sim, std::string name, const BusConfig &config = {});
 
     PortId registerPort(const std::string &port_name) override;
-    std::vector<BandwidthResource *> path(PortId src, PortId dst) override;
+    void appendPath(PortId src, PortId dst,
+                    std::vector<BandwidthResource *> &out) override;
     int numPorts() const override { return int(portNames_.size()); }
     std::vector<BandwidthResource *> resources() override
     {

@@ -29,8 +29,9 @@ Crossbar::registerPort(const std::string &port_name)
     return PortId(ports_.size()) - 1;
 }
 
-std::vector<BandwidthResource *>
-Crossbar::path(PortId src, PortId dst)
+void
+Crossbar::appendPath(PortId src, PortId dst,
+                     std::vector<BandwidthResource *> &out)
 {
     HostProfScope prof(HostCat::Interconnect);
     RELIEF_ASSERT(src >= 0 && src < numPorts(), name(), ": bad src port ",
@@ -38,8 +39,8 @@ Crossbar::path(PortId src, PortId dst)
     RELIEF_ASSERT(dst >= 0 && dst < numPorts(), name(), ": bad dst port ",
                   dst);
     RELIEF_ASSERT(src != dst, name(), ": transfer to self on port ", src);
-    return {ports_[std::size_t(src)].egress.get(),
-            ports_[std::size_t(dst)].ingress.get()};
+    out.push_back(ports_[std::size_t(src)].egress.get());
+    out.push_back(ports_[std::size_t(dst)].ingress.get());
 }
 
 void

@@ -33,7 +33,8 @@ class Crossbar : public Interconnect
              const CrossbarConfig &config = {});
 
     PortId registerPort(const std::string &port_name) override;
-    std::vector<BandwidthResource *> path(PortId src, PortId dst) override;
+    void appendPath(PortId src, PortId dst,
+                    std::vector<BandwidthResource *> &out) override;
     int numPorts() const override { return int(ports_.size()); }
     std::vector<BandwidthResource *> resources() override
     {

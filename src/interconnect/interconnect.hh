@@ -36,13 +36,29 @@ class Interconnect : public SimObject
     /** Attach a device; returns its port id. */
     virtual PortId registerPort(const std::string &port_name) = 0;
 
-    /** Resources a transfer from @p src to @p dst must claim, in order. */
-    virtual std::vector<BandwidthResource *> path(PortId src, PortId dst) = 0;
+    /**
+     * Append the resources a transfer from @p src to @p dst must claim,
+     * in order, to @p out. The hot path passes a reused buffer, so
+     * building a route allocates nothing once the buffer has grown.
+     */
+    virtual void appendPath(PortId src, PortId dst,
+                            std::vector<BandwidthResource *> &out) = 0;
+
+    /** The route from @p src to @p dst as a fresh vector. */
+    std::vector<BandwidthResource *>
+    path(PortId src, PortId dst)
+    {
+        std::vector<BandwidthResource *> out;
+        appendPath(src, dst, out);
+        return out;
+    }
 
     /** Record a completed reservation for occupancy accounting. */
     void
     recordTransfer(Tick start, Tick end, std::uint64_t bytes)
     {
+        // Transfers are reserved no earlier than the current tick.
+        busy_.retire(now());
         busy_.add(start, end);
         bytes_.add(bytes);
         transfers_.add(1);

@@ -38,8 +38,9 @@ Ring::hopCount(PortId src, PortId dst) const
     return std::min(cw, ccw);
 }
 
-std::vector<BandwidthResource *>
-Ring::path(PortId src, PortId dst)
+void
+Ring::appendPath(PortId src, PortId dst,
+                 std::vector<BandwidthResource *> &out)
 {
     HostProfScope prof(HostCat::Interconnect);
     int n = numPorts();
@@ -49,7 +50,6 @@ Ring::path(PortId src, PortId dst)
 
     int cw = (dst - src + n) % n;
     int ccw = n - cw;
-    std::vector<BandwidthResource *> out;
     if (cw <= ccw) {
         // Clockwise: segment i joins port i and i+1.
         for (int hop = 0; hop < cw; ++hop) {
@@ -63,7 +63,6 @@ Ring::path(PortId src, PortId dst)
                 links_[std::size_t(seg)].counterClockwise.get());
         }
     }
-    return out;
 }
 
 void

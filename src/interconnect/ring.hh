@@ -37,7 +37,8 @@ class Ring : public Interconnect
     Ring(Simulator &sim, std::string name, const RingConfig &config = {});
 
     PortId registerPort(const std::string &port_name) override;
-    std::vector<BandwidthResource *> path(PortId src, PortId dst) override;
+    void appendPath(PortId src, PortId dst,
+                    std::vector<BandwidthResource *> &out) override;
     int numPorts() const override { return int(links_.size()); }
     std::vector<BandwidthResource *> resources() override
     {

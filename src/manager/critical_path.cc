@@ -63,12 +63,21 @@ segment(const Node &node, const char *what, Tick from, Tick to)
 DagLatencyRecord
 CriticalPath::analyze(const Dag &dag)
 {
+    DagLatencyRecord record;
+    analyze(dag, record);
+    return record;
+}
+
+void
+CriticalPath::analyze(const Dag &dag, DagLatencyRecord &record)
+{
     RELIEF_ASSERT(dag.complete(), dag.name(),
                   ": critical-path analysis before completion");
-    DagLatencyRecord record;
     record.dag = dag.name();
     record.arrival = dag.arrivalTick();
     record.finish = dag.finishTick();
+    record.path.clear();
+    record.buckets = LatencyBreakdown{};
 
     // The walk starts at the node that finished last and ends at a
     // root: each step covers [depsReady, computeEnd] of the current
@@ -127,7 +136,6 @@ CriticalPath::analyze(const Dag &dag)
         cur = gate;
     }
     record.pathLength = int(record.path.size());
-    return record;
 }
 
 } // namespace relief

@@ -89,6 +89,11 @@ class CriticalPath
      * (finish tick == last node's computeEnd).
      */
     static DagLatencyRecord analyze(const Dag &dag);
+
+    /** As above, into @p record, reusing its path and name storage
+     *  (the manager attributes every completion into one scratch
+     *  record). */
+    static void analyze(const Dag &dag, DagLatencyRecord &record);
 };
 
 } // namespace relief

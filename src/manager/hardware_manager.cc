@@ -118,7 +118,7 @@ HardwareManager::beginDag(Dag *dag)
     dag->submit(now());
 
     DeadlineScheme scheme = policy_->deadlineScheme();
-    std::vector<Node *> ready;
+    std::vector<Node *> ready = takeReadyBatch();
     for (Node *node : dag->allNodes()) {
         node->deadline = now() + dag->nodeRelativeDeadline(*node, scheme);
         node->scoreDeadline = now() + node->relDeadlineCp;
@@ -148,6 +148,7 @@ void
 HardwareManager::scheduleReadyNodes(std::vector<Node *> ready)
 {
     if (ready.empty()) {
+        recycleReadyBatch(std::move(ready));
         tryLaunchAll();
         return;
     }
@@ -168,7 +169,7 @@ HardwareManager::scheduleReadyNodes(std::vector<Node *> ready)
     Tick done = occupyManager(cost);
 
     sim().at(done, HostCat::Sched,
-             [this, ready = std::move(ready)]() {
+             [this, ready = std::move(ready)]() mutable {
                  SchedContext ctx;
                  ctx.now = now();
                  for (AccType type : allAccTypes)
@@ -183,9 +184,27 @@ HardwareManager::scheduleReadyNodes(std::vector<Node *> ready)
                          STick(node->predictedRuntime);
                  }
                  policy_->onNodesReady(ready, ctx, queues_);
+                 recycleReadyBatch(std::move(ready));
                  tryLaunchAll();
              },
              [this] { return name() + ".sched"; });
+}
+
+std::vector<Node *>
+HardwareManager::takeReadyBatch()
+{
+    if (readyPool_.empty())
+        return {};
+    std::vector<Node *> batch = std::move(readyPool_.back());
+    readyPool_.pop_back();
+    return batch;
+}
+
+void
+HardwareManager::recycleReadyBatch(std::vector<Node *> batch)
+{
+    batch.clear(); // keeps capacity for the next batch
+    readyPool_.push_back(std::move(batch));
 }
 
 void
@@ -323,10 +342,10 @@ HardwareManager::issueInputs(AccState &state)
         std::uint64_t(node->params.numInputs) * operand +
         node->outputSize();
 
-    auto on_input_done = [this, &state]() {
-        if (--state.pendingInputs == 0)
-            startCompute(state);
-    };
+    // Completion callbacks capture two words at most, so they fit
+    // std::function's inline buffer and issuing an input allocates
+    // nothing.
+    auto on_input_done = [this, &state]() { onInputDone(state); };
 
     for (std::size_t i = 0; i < node->parents.size(); ++i) {
         Node *parent = node->parents[i];
@@ -354,22 +373,19 @@ HardwareManager::issueInputs(AccState &state)
             Scratchpad &producer_spm = ref.acc->spm();
             producer_spm.beginRead(ref.partition);
             ++state.pendingInputs;
-            Accelerator *producer_acc = ref.acc;
-            int producer_part = ref.partition;
-            auto done = [this, &state, producer_acc, producer_part,
-                         on_input_done]() {
-                producer_acc->spm().endRead(producer_part);
-                resumeStalledLaunches();
-                on_input_done();
+            auto done = [this,
+                         consumer = std::uint32_t(&state - accs_.data()),
+                         input = std::uint32_t(i)]() {
+                onForwardDone(accs_[consumer], input);
             };
             if (config_.forwardMechanism ==
                 ForwardMechanism::StreamBuffer) {
                 state.acc->dma().streamFrom(
-                    producer_spm, producer_acc->dma().port(), operand,
+                    producer_spm, ref.acc->dma().port(), operand,
                     std::move(done), transferCtx(node));
             } else {
                 state.acc->dma().forwardFrom(
-                    producer_spm, producer_acc->dma().port(), operand,
+                    producer_spm, ref.acc->dma().port(), operand,
                     std::move(done), transferCtx(node));
             }
             continue;
@@ -402,6 +418,24 @@ HardwareManager::issueInputs(AccState &state)
 
     if (state.pendingInputs == 0)
         startCompute(state);
+}
+
+void
+HardwareManager::onInputDone(AccState &state)
+{
+    if (--state.pendingInputs == 0)
+        startCompute(state);
+}
+
+void
+HardwareManager::onForwardDone(AccState &state, std::size_t input_index)
+{
+    // The consumer is still loading, so its producer reference is the
+    // one the forward was issued from.
+    const ProducerRef &ref = state.current->producerRefs[input_index];
+    ref.acc->spm().endRead(ref.partition);
+    resumeStalledLaunches();
+    onInputDone(state);
 }
 
 void
@@ -508,7 +542,8 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
             ++metrics_.dagDeadlinesMet;
         // Attribute the finished execution before the completion
         // handler can resubmit the DAG (which resets the lifecycles).
-        DagLatencyRecord attributed = CriticalPath::analyze(*dag);
+        DagLatencyRecord &attributed = attributed_;
+        CriticalPath::analyze(*dag, attributed);
         metrics_.sampleCriticalPath(attributed.buckets);
         DPRINTF(Sched, "dag ", dag->name(), " complete: latency ",
                 attributed.latency(), " = queue ",
@@ -524,15 +559,17 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
             onDagAttributed_(dag, attributed);
         // The resubmission path reuses the same Node objects, so keep
         // only labels/ticks alive past this point, not node pointers.
-        attributed.path.clear();
-        latencyRecords_.push_back(std::move(attributed));
+        latencyRecords_.push_back(
+            DagLatencyRecord{attributed.dag, attributed.arrival,
+                             attributed.finish, attributed.pathLength,
+                             {}, attributed.buckets});
         if (onDagComplete_)
             onDagComplete_(dag);
     }
 
     // Record where this output lives so the children's drivers can
     // find it (Table III: producer_acc / producer_spm).
-    std::vector<Node *> ready;
+    std::vector<Node *> ready = takeReadyBatch();
     for (Node *child : node->children) {
         for (std::size_t i = 0; i < child->parents.size(); ++i) {
             if (child->parents[i] == node) {
@@ -566,7 +603,7 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
     AccState *state_ptr = &state;
     sim().at(done, HostCat::Sched,
              [this, state_ptr, node, partition,
-              ready = std::move(ready)]() {
+              ready = std::move(ready)]() mutable {
                  SchedContext ctx;
                  ctx.now = now();
                  for (AccType type : allAccTypes)
@@ -580,6 +617,7 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
                                     STick(r->predictedRuntime);
                  }
                  policy_->onNodesReady(ready, ctx, queues_);
+                 recycleReadyBatch(std::move(ready));
                  handleWriteBack(*state_ptr, node, partition);
 
                  // Memory-time prediction outcome (Table VIII), now

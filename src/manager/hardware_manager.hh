@@ -157,6 +157,13 @@ class HardwareManager : public SimObject
      *  hand them to the policy, then try to launch. */
     void scheduleReadyNodes(std::vector<Node *> ready);
 
+    /** A cleared ready-node batch from the pool (or a fresh one). */
+    std::vector<Node *> takeReadyBatch();
+
+    /** Return @p batch, its capacity intact, to the pool once the
+     *  policy has consumed it. */
+    void recycleReadyBatch(std::vector<Node *> batch);
+
     /** Pull work onto every idle accelerator. */
     void tryLaunchAll();
 
@@ -176,6 +183,13 @@ class HardwareManager : public SimObject
 
     /** Issue input transfers and chain into compute. */
     void issueInputs(AccState &state);
+
+    /** One input transfer of @p state's task landed. */
+    void onInputDone(AccState &state);
+
+    /** Input @p input_index of @p state's task arrived by forwarding:
+     *  end the read on the producer partition, then as onInputDone. */
+    void onForwardDone(AccState &state, std::size_t input_index);
 
     /** Emit the Perfetto flow arrow for one satisfied edge. */
     void traceEdgeFlow(const AccState &state, const Node *node,
@@ -215,6 +229,11 @@ class HardwareManager : public SimObject
     ReadyQueues queues_;
     RunMetrics metrics_;
     std::vector<DagLatencyRecord> latencyRecords_;
+    /** Scratch record every completion is attributed into. */
+    DagLatencyRecord attributed_;
+    /** Ready batches handed back by the ISR/sched events they rode in,
+     *  reused so steady-state completions allocate no batch. */
+    std::vector<std::vector<Node *>> readyPool_;
     Tick managerFreeAt_ = 0;
     std::function<void(Dag *)> onDagComplete_;
     DagAttributionHandler onDagAttributed_;

@@ -47,6 +47,8 @@ BandwidthResource::claim(Tick earliest, std::uint64_t bytes,
     Tick hold = holdTime(bytes);
     Tick end = start + hold;
     nextFree_ = end;
+    // No later claim on this pipe starts before its request time.
+    busy_.retire(std::min(earliest, request_time));
     busy_.add(start, end);
     totalBytes_.add(bytes);
     numTransfers_.add(1);

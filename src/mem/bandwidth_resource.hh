@@ -98,6 +98,10 @@ class BandwidthResource
     /** Time covered by at least one reservation, clipped to [0, upTo). */
     Tick busyTime(Tick upTo = maxTick) const { return busy_.covered(upTo); }
 
+    /** The busy-interval tracker behind busyTime() (retired on every
+     *  claim, so its stored interval count stays bounded). */
+    const IntervalUnion &busyIntervals() const { return busy_; }
+
     /** Fraction of [0, upTo) covered by reservations. */
     double occupancy(Tick upTo) const;
 

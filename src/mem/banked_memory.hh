@@ -45,8 +45,8 @@ class BankedMemory : public MainMemory
     BankedMemory(Simulator &sim, std::string name,
                  const BankedMemoryConfig &config = {});
 
-    std::vector<BandwidthResource *>
-    path(std::uint64_t stream_hint) override;
+    void appendPath(std::uint64_t stream_hint,
+                    std::vector<BandwidthResource *> &out) override;
 
     std::vector<BandwidthResource *> pressureResources() override
     {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "mem/bandwidth_resource.hh"
 #include "sim/simulator.hh"
@@ -45,16 +46,28 @@ class MainMemory : public SimObject
     const BandwidthResource &channel() const { return channel_; }
 
     /**
-     * Resources a transfer touching this memory must claim, in order.
-     * @p stream_hint identifies the buffer/stream (e.g. the task-node
-     * id); the flat model ignores it, the banked model (BankedMemory)
-     * maps it to a bank so independent streams can overlap.
+     * Append the resources a transfer touching this memory must claim,
+     * in order, to @p out (a caller-owned, reused buffer on the hot
+     * path). @p stream_hint identifies the buffer/stream (e.g. the
+     * task-node id); the flat model ignores it, the banked model
+     * (BankedMemory) maps it to a bank so independent streams can
+     * overlap.
      */
-    virtual std::vector<BandwidthResource *>
-    path(std::uint64_t stream_hint)
+    virtual void
+    appendPath(std::uint64_t stream_hint,
+               std::vector<BandwidthResource *> &out)
     {
         (void)stream_hint;
-        return {&channel_};
+        out.push_back(&channel_);
+    }
+
+    /** The resources for @p stream_hint as a fresh vector. */
+    std::vector<BandwidthResource *>
+    path(std::uint64_t stream_hint)
+    {
+        std::vector<BandwidthResource *> out;
+        appendPath(stream_hint, out);
+        return out;
     }
 
     /**

@@ -23,12 +23,13 @@ bwPredictorName(BwPredictorKind kind)
 
 BandwidthPredictor::BandwidthPredictor(BwPredictorKind kind, double max_gbs,
                                        int window, double alpha)
-    : kind_(kind), maxGBs_(max_gbs), window_(window), alpha_(alpha),
+    : kind_(kind), maxGBs_(max_gbs), alpha_(alpha),
       last_(max_gbs), ewma_(max_gbs)
 {
     RELIEF_ASSERT(max_gbs > 0.0, "bandwidth predictor needs positive max");
     RELIEF_ASSERT(window >= 1, "average window must be >= 1");
     RELIEF_ASSERT(alpha > 0.0 && alpha <= 1.0, "EWMA alpha out of (0, 1]");
+    history_.resize(std::size_t(window));
 }
 
 void
@@ -39,11 +40,15 @@ BandwidthPredictor::observe(double achieved_gbs)
     ++numObs_;
     last_ = achieved_gbs;
     ewma_ = alpha_ * achieved_gbs + (1.0 - alpha_) * ewma_;
-    history_.push_back(achieved_gbs);
     windowSum_ += achieved_gbs;
-    if (int(history_.size()) > window_) {
-        windowSum_ -= history_.front();
-        history_.pop_front();
+    if (histCount_ < history_.size()) {
+        history_[(histHead_ + histCount_++) % history_.size()] =
+            achieved_gbs;
+    } else {
+        // Full window: the newest sample replaces the oldest.
+        windowSum_ -= history_[histHead_];
+        history_[histHead_] = achieved_gbs;
+        histHead_ = (histHead_ + 1) % history_.size();
     }
 }
 
@@ -56,8 +61,8 @@ BandwidthPredictor::predict() const
       case BwPredictorKind::Last:
         return last_;
       case BwPredictorKind::Average:
-        return history_.empty() ? maxGBs_
-                                : windowSum_ / double(history_.size());
+        return histCount_ == 0 ? maxGBs_
+                               : windowSum_ / double(histCount_);
       case BwPredictorKind::Ewma:
         return ewma_;
     }

@@ -15,8 +15,9 @@
 #ifndef RELIEF_PREDICT_BANDWIDTH_PREDICTOR_HH
 #define RELIEF_PREDICT_BANDWIDTH_PREDICTOR_HH
 
-#include <deque>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 namespace relief
 {
@@ -57,12 +58,15 @@ class BandwidthPredictor
   private:
     BwPredictorKind kind_;
     double maxGBs_;
-    int window_;
     double alpha_;
     double last_;
     double ewma_;
     double windowSum_ = 0.0;
-    std::deque<double> history_;
+    /** Ring of the last `window` observations (oldest at histHead_),
+     *  so observing allocates nothing. */
+    std::vector<double> history_;
+    std::size_t histHead_ = 0;
+    std::size_t histCount_ = 0;
     std::uint64_t numObs_ = 0;
 };
 

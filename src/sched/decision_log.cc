@@ -1,7 +1,6 @@
 #include "sched/decision_log.hh"
 
 #include <sstream>
-#include <utility>
 
 #include "sim/logging.hh"
 #include "stats/json.hh"
@@ -50,7 +49,19 @@ DecisionLog::record(PromotionDecision decision)
 {
     if (decision.granted)
         ++granted_;
-    decisions_.push_back(std::move(decision));
+    decision.label = intern(decision.node, decision.label);
+    if (!decision.victim.empty())
+        decision.victim = intern(decision.victimNode, decision.victim);
+    decisions_.push_back(decision);
+}
+
+std::string_view
+DecisionLog::intern(NodeId id, std::string_view label)
+{
+    const std::string *&slot = labelOf_[id];
+    if (!slot || *slot != label)
+        slot = &labels_.emplace_back(label);
+    return *slot;
 }
 
 const PromotionDecision &
@@ -91,6 +102,8 @@ DecisionLog::clear()
 {
     decisions_.clear();
     granted_ = 0;
+    labels_.clear();
+    labelOf_.clear();
 }
 
 } // namespace relief

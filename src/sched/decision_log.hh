@@ -14,14 +14,22 @@
  * decisions), exportable as a JSON array, and mirrored line-by-line on
  * the Sched debug flag, so `--debug-flags Sched` prints exactly what
  * the log records.
+ *
+ * Recording copies no strings: a decision's label and victim are views
+ * into a label table the log owns, interned once per node id (and
+ * again only when a reused id carries a different label). Recorded
+ * labels therefore outlive the DAG they name and resetNodeIds() reuse.
  */
 
 #ifndef RELIEF_SCHED_DECISION_LOG_HH
 #define RELIEF_SCHED_DECISION_LOG_HH
 
 #include <cstdint>
+#include <deque>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "acc/acc_types.hh"
@@ -50,18 +58,24 @@ struct PromotionDecision
 {
     Tick when = 0;             ///< Decision time.
     NodeId node = 0;           ///< Candidate node id.
-    std::string label;         ///< Candidate debug label.
-    AccType type = AccType(0); ///< Target accelerator type.
+    /** Candidate debug label. Recorded decisions view the log's label
+     *  table; a caller may point it at any live string until record(). */
+    std::string_view label;
     STick laxity = 0;          ///< Candidate laxity at decision time.
     std::size_t queueDepth = 0; ///< Ready-queue depth before insertion.
-    bool granted = false;
-    PromotionReason reason = PromotionReason::Feasible;
     /** Label of the bounding non-forwarding node the feasibility scan
-     *  stopped at; empty when the scan found none. */
-    std::string victim;
+     *  stopped at; empty when the scan found none. Same lifetime rule
+     *  as label. */
+    std::string_view victim;
+    NodeId victimNode = 0; ///< The victim's node id (0 = none).
     /** The victim's laxity minus the candidate's runtime: what the
      *  victim keeps after absorbing the bypass (negative on denial). */
     STick victimSlack = 0;
+    // The narrow fields come last so the record packs tightly: the
+    // log keeps one per forwarding candidate for the whole run.
+    AccType type = AccType(0); ///< Target accelerator type.
+    bool granted = false;
+    PromotionReason reason = PromotionReason::Feasible;
 
     /** One-line rendering, shared by the Sched debug flag. */
     std::string summary() const;
@@ -70,6 +84,13 @@ struct PromotionDecision
 class DecisionLog
 {
   public:
+    DecisionLog() = default;
+    /** Recorded decisions view this log's label table: not copyable. */
+    DecisionLog(const DecisionLog &) = delete;
+    DecisionLog &operator=(const DecisionLog &) = delete;
+
+    /** Append @p decision, re-pointing its label and victim at the
+     *  log's interned copies. */
     void record(PromotionDecision decision);
 
     std::size_t size() const { return decisions_.size(); }
@@ -91,8 +112,16 @@ class DecisionLog
     void clear();
 
   private:
+    /** The table's copy of @p label for node @p id, interning it when
+     *  the id is new or last carried a different label. */
+    std::string_view intern(NodeId id, std::string_view label);
+
     std::vector<PromotionDecision> decisions_;
     std::uint64_t granted_ = 0;
+    /** Interned labels; a deque never moves its elements, so views into
+     *  them stay valid as the table grows. */
+    std::deque<std::string> labels_;
+    std::unordered_map<NodeId, const std::string *> labelOf_;
 };
 
 } // namespace relief

@@ -105,6 +105,9 @@ class ReliefPolicy : public Policy
     std::uint64_t promotions_ = 0;
     std::uint64_t throttled_ = 0;
     DecisionLog log_;
+    /** Algorithm 1's per-type forwarding-candidate lists, kept as
+     *  members so their capacity is reused across calls. */
+    std::array<std::vector<Node *>, std::size_t(numAccTypes)> fwdNodes_;
 };
 
 } // namespace relief

@@ -7,7 +7,7 @@ namespace relief
 {
 
 std::string
-jsonEscape(const std::string &in)
+jsonEscape(std::string_view in)
 {
     std::string out;
     out.reserve(in.size());

@@ -9,6 +9,7 @@
 #define RELIEF_STATS_JSON_HH
 
 #include <string>
+#include <string_view>
 
 namespace relief
 {
@@ -20,7 +21,7 @@ namespace relief
  * as \u00XX). Without the control-character handling a task label
  * containing a newline produces JSON that Perfetto refuses to load.
  */
-std::string jsonEscape(const std::string &in);
+std::string jsonEscape(std::string_view in);
 
 /**
  * Render @p value as a JSON number. JSON has no Inf/NaN literals, so

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/experiment.hh"
 
 namespace relief
@@ -113,6 +115,43 @@ TEST(SocIntegrationTest, ContinuousContentionIteratesWithinWindow)
         }
     }
     EXPECT_LE(report.execTime, fromMs(50.0) + fromMs(1.0));
+}
+
+TEST(SocIntegrationTest, StatsReadDuringASecondRunReportZeroBusyTime)
+{
+    // The busy trackers retire as a run advances. A stats or pressure
+    // dump taken while a later run() is in flight must not query them
+    // below their watermark: it sees the run as unfinished.
+    resetNodeIds();
+    SocConfig config;
+    config.policy = PolicyKind::Relief;
+    Soc soc(config);
+    for (AppId app : parseMix("CDL"))
+        soc.submit(buildApp(app, AppConfig{}), 0, /* continuous */ true);
+    soc.run(fromMs(10.0));
+    double first_busy = soc.stats().value("dram.channel.busy_us");
+    EXPECT_GT(first_busy, 0.0);
+
+    struct MidRun
+    {
+        std::ostringstream text, json, pressure;
+        double busy = -1.0;
+    } mid;
+    soc.sim().at(fromMs(15.0), [&soc, &mid] {
+        soc.stats().dumpText(mid.text);
+        soc.writeStatsJson(mid.json);
+        soc.writePressureJson(mid.pressure);
+        mid.busy = soc.stats().value("dram.channel.busy_us");
+    });
+    soc.run(fromMs(20.0));
+
+    EXPECT_EQ(mid.busy, 0.0);
+    EXPECT_NE(mid.text.str().find("dram.channel.busy_us"),
+              std::string::npos);
+    EXPECT_NE(mid.json.str().find("\"pressure\""), std::string::npos);
+    EXPECT_NE(mid.pressure.str().find("relief-pressure-v1"),
+              std::string::npos);
+    EXPECT_GT(soc.stats().value("dram.channel.busy_us"), first_busy);
 }
 
 TEST(SocIntegrationTest, CrossbarIsNoWorseThanBus)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "mem/bandwidth_resource.hh"
 #include "sim/logging.hh"
 
@@ -106,6 +108,30 @@ TEST(ReserveTransferTest, EachResourceChargedItsOwnRate)
 TEST(ReserveTransferTest, EmptyPathPanics)
 {
     EXPECT_THROW(reserveTransfer({}, 0, 10), PanicError);
+}
+
+TEST(BandwidthResourceTest, BusyTrackerStaysBoundedOverManyClaims)
+{
+    // A long run's claims: requests at random gaps, sometimes bunched
+    // into a backlog, sometimes leaving the pipe idle. Claims on one
+    // pipe never overlap, so the busy time is the plain sum of holds.
+    BandwidthResource res("r", 2.0, fromNs(20.0));
+    std::mt19937_64 rng(11);
+    Tick request = 0;
+    Tick held = 0;
+    std::size_t peak_intervals = 0;
+    for (int i = 0; i < 120000; ++i) {
+        request += Tick(rng() % 600) * 1000;
+        std::uint64_t bytes = 64 + rng() % 1024;
+        res.claim(request, bytes);
+        held += res.holdTime(bytes);
+        peak_intervals =
+            std::max(peak_intervals, res.busyIntervals().numIntervals());
+    }
+    EXPECT_LT(peak_intervals, 130u);
+    EXPECT_EQ(res.busyTime(), held);
+    EXPECT_EQ(res.busyIntervals().watermark(), request);
+    EXPECT_EQ(res.numTransfers(), 120000u);
 }
 
 } // namespace

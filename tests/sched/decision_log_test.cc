@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "sched/relief.hh"
@@ -229,6 +230,81 @@ TEST_F(DecisionLogTest, ClearEmptiesTheLog)
 TEST_F(DecisionLogTest, OutOfRangeAccessPanics)
 {
     EXPECT_THROW(policy.decisionLog().at(0), PanicError);
+}
+
+/** Record one promotion decision for a fresh producer -> child DAG
+ *  whose child carries @p label and bypasses a waiting @p victim. */
+void
+recordThroughDag(ReliefPolicy &policy, const std::string &label,
+                 const std::string &victim_label)
+{
+    auto dag = std::make_unique<Dag>("scratch", 'S');
+    TaskParams p;
+    p.type = AccType::ElemMatrix;
+    Node *victim = dag->addNode(p, victim_label);
+    victim->laxityKey = 100;
+    Node *producer = dag->addNode(p, "producer");
+    Node *child = dag->addNode(p, label);
+    child->predictedRuntime = 10;
+    child->laxityKey = 500;
+    dag->addEdge(producer, child);
+
+    ReadyQueues queues;
+    queues[accIndex(AccType::ElemMatrix)].pushBack(victim);
+    SchedContext ctx;
+    ctx.idleCount[accIndex(AccType::ElemMatrix)] = 1;
+    policy.onNodesReady({child}, ctx, queues);
+    // The DAG, its nodes and their label strings die here.
+}
+
+TEST(DecisionLogLabelTest, LabelsOutliveTheirDag)
+{
+    ReliefPolicy policy;
+    recordThroughDag(policy, "child-label-longer-than-sso", "victim-x");
+
+    const PromotionDecision &d = policy.decisionLog().at(0);
+    EXPECT_EQ(d.label, "child-label-longer-than-sso");
+    EXPECT_EQ(d.victim, "victim-x");
+    std::ostringstream os;
+    policy.decisionLog().writeJson(os);
+    EXPECT_NE(os.str().find("\"label\": \"child-label-longer-than-sso\""),
+              std::string::npos);
+}
+
+TEST(DecisionLogLabelTest, ReusedNodeIdsKeepEachRecordsLabel)
+{
+    ReliefPolicy policy;
+    resetNodeIds(100);
+    recordThroughDag(policy, "first-child", "first-victim");
+    resetNodeIds(100); // the next DAG reuses the same ids...
+    recordThroughDag(policy, "second-child", "second-victim");
+    resetNodeIds(100); // ...and this one the same ids and labels
+    recordThroughDag(policy, "second-child", "second-victim");
+    resetNodeIds();
+
+    const DecisionLog &log = policy.decisionLog();
+    ASSERT_EQ(log.size(), 3u);
+    EXPECT_EQ(log.at(0).node, log.at(1).node);
+    EXPECT_EQ(log.at(0).label, "first-child");
+    EXPECT_EQ(log.at(0).victim, "first-victim");
+    EXPECT_EQ(log.at(1).label, "second-child");
+    EXPECT_EQ(log.at(1).victim, "second-victim");
+    // An unchanged label is interned once: both records share it.
+    EXPECT_EQ(log.at(2).label.data(), log.at(1).label.data());
+    EXPECT_EQ(log.at(2).victim.data(), log.at(1).victim.data());
+}
+
+TEST(DecisionLogLabelTest, RecordCopiesNoCallerString)
+{
+    DecisionLog log;
+    std::string label = "transient-label";
+    PromotionDecision d;
+    d.node = 7;
+    d.label = label;
+    log.record(d);
+    label = "overwritten-label";
+    EXPECT_EQ(log.at(0).label, "transient-label");
+    EXPECT_NE(log.at(0).label.data(), label.data());
 }
 
 } // namespace
