@@ -81,8 +81,6 @@ class Accelerator : public SimObject
     /** Tasks completed on this instance. */
     std::uint64_t tasksExecuted() const { return tasksExecuted_.value(); }
 
-    void resetStats();
-
   private:
     AccType type_;
     int instance_;

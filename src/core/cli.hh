@@ -14,7 +14,7 @@
  *   --instances SPEC       per-type counts, e.g. EM=2,C=2 (symbols from
  *                          Table I: I,G,C,EM,CNM,HNM,ET)
  *   --banked-memory        bank-aware DRAM model
- *   --mem-efficiency X     flat-model streaming efficiency (0..1]
+ *   --mem-efficiency X     single-stream DRAM efficiency (0..1]
  *   --bw-predictor KIND    max|last|average|ewma
  *   --dm-predictor KIND    max|graph
  *   --spm-partitions N     output partitions per scratchpad

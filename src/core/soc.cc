@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "kernels/scratch.hh"
-#include "sched/relief.hh"
 #include "sim/logging.hh"
 #include "stats/json.hh"
 #include "stats/table.hh"
@@ -50,16 +49,10 @@ MetricsReport::spmTrafficFraction() const
 
 Soc::Soc(const SocConfig &config) : config_(config)
 {
-    if (config.bankedMemory) {
-        // Bank knobs come from config.banked; the channel-level knobs
-        // (peak bandwidth, latency, energy) follow config.mem.
-        BankedMemoryConfig banked = config.banked;
-        static_cast<MainMemoryConfig &>(banked) = config.mem;
-        dram_ = std::make_unique<BankedMemory>(sim_, "soc.dram", banked);
-    } else {
-        dram_ = std::make_unique<MainMemory>(sim_, "soc.dram",
-                                             config.mem);
-    }
+    MainMemoryConfig mem = config.mem;
+    if (config.bankedMemory && mem.numBanks == 0)
+        mem.numBanks = 8;
+    dram_ = std::make_unique<MainMemory>(sim_, "soc.dram", mem);
     switch (config.fabric) {
       case FabricKind::Bus:
         fabric_ = std::make_unique<Bus>(sim_, "soc.bus", config.bus);
@@ -93,21 +86,8 @@ Soc::Soc(const SocConfig &config) : config_(config)
         config.bwPredictor, config.dmPredictor, config.mem.peakGBs,
         config.instances);
 
-    std::unique_ptr<Policy> policy;
-    bool relief_family = config.policy == PolicyKind::Relief ||
-                         config.policy == PolicyKind::ReliefLax ||
-                         config.policy == PolicyKind::ReliefHetSched;
-    if (relief_family && !config.reliefFeasibilityCheck) {
-        ReliefOptions options;
-        options.laxDispatch = config.policy == PolicyKind::ReliefLax;
-        options.scheme = config.policy == PolicyKind::ReliefHetSched
-                             ? DeadlineScheme::Sdr
-                             : DeadlineScheme::CriticalPath;
-        options.feasibilityCheck = false;
-        policy = std::make_unique<ReliefPolicy>(options);
-    } else {
-        policy = makePolicy(config.policy);
-    }
+    std::unique_ptr<Policy> policy =
+        makePolicy(config.policy, config.reliefFeasibilityCheck);
 
     manager_ = std::make_unique<HardwareManager>(
         sim_, "soc.manager", std::move(policy), std::move(predictor),

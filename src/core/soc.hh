@@ -30,7 +30,6 @@
 #include "interconnect/crossbar.hh"
 #include "interconnect/ring.hh"
 #include "manager/hardware_manager.hh"
-#include "mem/banked_memory.hh"
 #include "mem/main_memory.hh"
 #include "mem/pressure_ledger.hh"
 #include "sched/policy.hh"
@@ -69,10 +68,9 @@ struct SocConfig
     DmPredictorKind dmPredictor = DmPredictorKind::Max;
     /** Output partitions per scratchpad (Table IV: up to 3). */
     int spmPartitions = 3;
-    /** Use the bank-aware DRAM model instead of the flat
-     *  efficiency-factor model. */
+    /** Use the bank-aware DRAM model instead of the flat one: eight
+     *  banks unless mem.numBanks asks for another count. */
     bool bankedMemory = false;
-    BankedMemoryConfig banked; ///< Knobs when bankedMemory is set.
     /** Ablation: disable RELIEF's is_feasible() throttle (promotions
      *  become greedy). Only meaningful for the RELIEF-family. */
     bool reliefFeasibilityCheck = true;

@@ -73,15 +73,22 @@ DmaEngine::launch(const std::vector<BandwidthResource *> &path,
     DPRINTF(Dma, trafficClassName(cls), " launch ", bytes,
             " bytes, done at ", timing.end);
 
+    return completeAt(timing.end, bytes, std::move(on_done), ".done");
+}
+
+Tick
+DmaEngine::completeAt(Tick when, std::uint64_t bytes, Callback on_done,
+                      const char *label_suffix)
+{
     outstanding_ += bytes;
-    sim().at(timing.end, HostCat::Dma,
+    sim().at(when, HostCat::Dma,
              [this, bytes, cb = std::move(on_done)]() {
                  outstanding_ -= bytes;
                  if (cb)
                      cb();
              },
-             [this] { return name() + ".done"; });
-    return timing.end;
+             [this, label_suffix] { return name() + label_suffix; });
+    return when;
 }
 
 Tick
@@ -249,15 +256,8 @@ DmaEngine::streamFrom(Scratchpad &producer, PortId producer_port,
     timing.end += config_.streamSetupLatency;
     fabric_.recordTransfer(timing.start, timing.end, bytes);
     DPRINTF(Dma, "stream ", bytes, " bytes, done at ", timing.end);
-    outstanding_ += bytes;
-    sim().at(timing.end, HostCat::Dma,
-             [this, bytes, cb = std::move(on_done)]() {
-                 outstanding_ -= bytes;
-                 if (cb)
-                     cb();
-             },
-             [this] { return name() + ".streamDone"; });
-    return timing.end;
+    return completeAt(timing.end, bytes, std::move(on_done),
+                      ".streamDone");
 }
 
 std::uint64_t
@@ -272,16 +272,6 @@ DmaEngine::bytesMoved(TrafficClass cls) const
         return forwardBytes_.value();
     }
     return 0;
-}
-
-void
-DmaEngine::resetStats()
-{
-    readChannel_.resetStats();
-    writeChannel_.resetStats();
-    dramReadBytes_.reset();
-    dramWriteBytes_.reset();
-    forwardBytes_.reset();
 }
 
 } // namespace relief

@@ -149,8 +149,6 @@ class DmaEngine : public SimObject
      *  the IntervalSampler's memory-pressure probe. */
     std::uint64_t outstandingBytes() const { return outstanding_; }
 
-    void resetStats();
-
   private:
     /**
      * In-flight burst-mode transfer. Instances are pooled: the engine
@@ -179,6 +177,10 @@ class DmaEngine : public SimObject
     Tick launchChunked(const std::vector<BandwidthResource *> &path,
                        std::uint64_t bytes, TrafficClass cls,
                        Callback on_done, const RequestorTag &tag);
+    /** Count @p bytes outstanding until @p when, then run @p on_done;
+     *  the event is labelled name() + @p label_suffix. */
+    Tick completeAt(Tick when, std::uint64_t bytes, Callback on_done,
+                    const char *label_suffix);
     void issueNextChunk(ChunkState *state);
     void accountTraffic(std::uint64_t bytes, TrafficClass cls);
 

@@ -36,11 +36,4 @@ Bus::appendPath(PortId src, PortId dst,
     out.push_back(&channel_);
 }
 
-void
-Bus::resetStats()
-{
-    Interconnect::resetStats();
-    channel_.resetStats();
-}
-
 } // namespace relief

@@ -43,14 +43,4 @@ Crossbar::appendPath(PortId src, PortId dst,
     out.push_back(ports_[std::size_t(dst)].ingress.get());
 }
 
-void
-Crossbar::resetStats()
-{
-    Interconnect::resetStats();
-    for (auto &port : ports_) {
-        port.egress->resetStats();
-        port.ingress->resetStats();
-    }
-}
-
 } // namespace relief

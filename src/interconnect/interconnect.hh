@@ -79,8 +79,6 @@ class Interconnect : public SimObject
     std::uint64_t totalBytes() const { return bytes_.value(); }
     std::uint64_t numTransfers() const { return transfers_.value(); }
 
-    virtual void resetStats();
-
     /** Number of registered ports. */
     virtual int numPorts() const = 0;
 

@@ -65,14 +65,4 @@ Ring::appendPath(PortId src, PortId dst,
     }
 }
 
-void
-Ring::resetStats()
-{
-    Interconnect::resetStats();
-    for (auto &link : links_) {
-        link.clockwise->resetStats();
-        link.counterClockwise->resetStats();
-    }
-}
-
 } // namespace relief

@@ -157,6 +157,19 @@ class HardwareManager : public SimObject
      *  hand them to the policy, then try to launch. */
     void scheduleReadyNodes(std::vector<Node *> ready);
 
+    /**
+     * Charge the ISR latency plus the policy's per-insert cost of
+     * @p ready on the manager and sample the queue metrics. @p parent
+     * is the node whose completion readied them (nullptr at
+     * submission). Returns the tick the scheduler run completes.
+     */
+    Tick chargeReadyBatch(const std::vector<Node *> &ready,
+                          const Node *parent);
+
+    /** Mark @p ready ready, predict their runtimes, and hand them to
+     *  the policy; the batch then returns to the pool. */
+    void enqueueReadyBatch(std::vector<Node *> ready);
+
     /** A cleared ready-node batch from the pool (or a fresh one). */
     std::vector<Node *> takeReadyBatch();
 

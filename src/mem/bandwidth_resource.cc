@@ -66,15 +66,6 @@ BandwidthResource::occupancy(Tick upTo) const
     return double(busyTime(upTo)) / double(upTo);
 }
 
-void
-BandwidthResource::resetStats()
-{
-    totalBytes_.reset();
-    numTransfers_.reset();
-    waitTicks_ = 0;
-    busy_.clear();
-}
-
 TransferTiming
 reserveTransfer(const std::vector<BandwidthResource *> &path, Tick now,
                 std::uint64_t bytes)

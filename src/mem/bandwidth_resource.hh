@@ -105,8 +105,6 @@ class BandwidthResource
     /** Fraction of [0, upTo) covered by reservations. */
     double occupancy(Tick upTo) const;
 
-    void resetStats();
-
   private:
     std::string name_;
     double gbPerSec_;

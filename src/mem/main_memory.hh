@@ -4,16 +4,28 @@
  *
  * Table VI of the paper configures LPDDR5-6400, one 16-bit channel,
  * 12.8 GB/s peak. The per-task memory times in Table I imply an achieved
- * streaming bandwidth of roughly 55% of peak (row activations, refresh,
- * read/write turnaround), so the model serves requests through a single
- * BandwidthResource at peak * efficiency with a fixed access latency,
- * and accounts read/write bytes and energy.
+ * single-stream bandwidth of roughly 55% of peak (row activations,
+ * refresh, read/write turnaround): `efficiency` is that fraction.
+ *
+ * The model has two shapes, chosen by the bank count:
+ *  - flat (no banks, the default): every transfer claims one channel
+ *    resource at peak * efficiency with a fixed access latency;
+ *  - banked (numBanks > 0, Table VI's bank-group mode): each transfer
+ *    claims the bank its buffer maps to — throttled to
+ *    peak * efficiency, the row-cycle-limited single-stream rate —
+ *    and then the shared channel at full peak. One stream sees the
+ *    same bandwidth as the flat model; streams on distinct banks
+ *    overlap until the channel saturates. Buffers map to banks by a
+ *    stream hint (the task-node id), mimicking address interleaving.
+ *
+ * Both shapes account read/write bytes and energy.
  */
 
 #ifndef RELIEF_MEM_MAIN_MEMORY_HH
 #define RELIEF_MEM_MAIN_MEMORY_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,10 +41,14 @@ namespace relief
 struct MainMemoryConfig
 {
     double peakGBs = 12.8;        ///< Channel peak bandwidth.
-    double efficiency = 0.55;     ///< Achieved fraction of peak.
+    /** Achieved single-stream fraction of peak: the channel rate of
+     *  the flat model, the per-bank rate of the banked one. */
+    double efficiency = 0.55;
     Tick accessLatency = fromNs(100.0); ///< First-access latency.
     double readEnergyPJPerByte = 37.5;  ///< ~4.7 pJ/bit LPDDR5 read.
     double writeEnergyPJPerByte = 41.0; ///< ~5.1 pJ/bit LPDDR5 write.
+    int numBanks = 0;             ///< 0 selects the flat model.
+    Tick bankLatency = fromNs(45.0); ///< Row activate + precharge.
 };
 
 class MainMemory : public SimObject
@@ -41,23 +57,29 @@ class MainMemory : public SimObject
     MainMemory(Simulator &sim, std::string name,
                const MainMemoryConfig &config = {});
 
-    /** The throughput resource transfers must claim. */
+    /** The shared channel every transfer claims. */
     BandwidthResource &channel() { return channel_; }
     const BandwidthResource &channel() const { return channel_; }
+
+    int numBanks() const { return int(banks_.size()); }
+    const BandwidthResource &bank(int index) const
+    {
+        return *banks_[std::size_t(index)];
+    }
 
     /**
      * Append the resources a transfer touching this memory must claim,
      * in order, to @p out (a caller-owned, reused buffer on the hot
-     * path). @p stream_hint identifies the buffer/stream (e.g. the
-     * task-node id); the flat model ignores it, the banked model
-     * (BankedMemory) maps it to a bank so independent streams can
-     * overlap.
+     * path): the bank @p stream_hint maps to, when banked, then the
+     * channel. @p stream_hint identifies the buffer/stream (e.g. the
+     * task-node id).
      */
-    virtual void
+    void
     appendPath(std::uint64_t stream_hint,
                std::vector<BandwidthResource *> &out)
     {
-        (void)stream_hint;
+        if (!banks_.empty())
+            out.push_back(&bankFor(stream_hint));
         out.push_back(&channel_);
     }
 
@@ -72,14 +94,10 @@ class MainMemory : public SimObject
 
     /**
      * Every bandwidth resource this memory arbitrates, for
-     * pressure-ledger registration (channel first, then banks in the
-     * banked model). Deterministic order.
+     * pressure-ledger registration: the channel, then the banks in
+     * index order.
      */
-    virtual std::vector<BandwidthResource *>
-    pressureResources()
-    {
-        return {&channel_};
-    }
+    std::vector<BandwidthResource *> pressureResources();
 
     /** Account a read of @p bytes leaving DRAM. */
     void recordRead(std::uint64_t bytes) { readBytes_.add(bytes); }
@@ -100,13 +118,13 @@ class MainMemory : public SimObject
     double energyPJ() const;
 
     const MainMemoryConfig &config() const { return config_; }
-    virtual void resetStats();
-
-    ~MainMemory() override = default;
 
   private:
+    BandwidthResource &bankFor(std::uint64_t stream_hint);
+
     MainMemoryConfig config_;
     BandwidthResource channel_;
+    std::vector<std::unique_ptr<BandwidthResource>> banks_;
     Counter readBytes_;
     Counter writeBytes_;
 };

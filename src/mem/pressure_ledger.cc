@@ -376,14 +376,4 @@ PressureLedger::writeJson(std::ostream &os, Tick end_tick, int top_k,
     os << "  ]\n}";
 }
 
-void
-PressureLedger::resetStats()
-{
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    for (Ring &ring : rings_) {
-        ring.entries.clear();
-        ring.head = 0;
-    }
-}
-
 } // namespace relief

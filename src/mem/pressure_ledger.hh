@@ -188,8 +188,6 @@ class PressureLedger
     void writeJson(std::ostream &os, Tick end_tick, int top_k,
                    const Summary &summary, const char *schema) const;
 
-    void resetStats();
-
   private:
     struct Reservation
     {

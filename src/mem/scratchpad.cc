@@ -127,12 +127,4 @@ Scratchpad::energyPJ() const
            double(writeBytes()) * config_.writeEnergyPJPerByte;
 }
 
-void
-Scratchpad::resetStats()
-{
-    port_.resetStats();
-    readBytes_.reset();
-    writeBytes_.reset();
-}
-
 } // namespace relief

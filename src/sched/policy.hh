@@ -98,8 +98,13 @@ class Policy
     virtual Tick pushCost(std::size_t queue_len) const;
 };
 
-/** Construct a policy instance. */
-std::unique_ptr<Policy> makePolicy(PolicyKind kind);
+/**
+ * Construct a policy instance. Clearing @p feasibility_check disables
+ * the RELIEF family's is_feasible() throttle (the ablation); the other
+ * policies ignore it.
+ */
+std::unique_ptr<Policy> makePolicy(PolicyKind kind,
+                                   bool feasibility_check = true);
 
 } // namespace relief
 

@@ -7,7 +7,7 @@ namespace relief
 {
 
 std::unique_ptr<Policy>
-makePolicy(PolicyKind kind)
+makePolicy(PolicyKind kind, bool feasibility_check)
 {
     switch (kind) {
       case PolicyKind::Fcfs:
@@ -26,12 +26,14 @@ makePolicy(PolicyKind kind)
         return std::make_unique<LeastLaxityPolicy>(
             PolicyKind::HetSched, DeadlineScheme::Sdr, false);
       case PolicyKind::ReliefLax:
-        return std::make_unique<ReliefPolicy>(true);
+        return std::make_unique<ReliefPolicy>(ReliefOptions{
+            true, DeadlineScheme::CriticalPath, feasibility_check});
       case PolicyKind::Relief:
-        return std::make_unique<ReliefPolicy>(false);
+        return std::make_unique<ReliefPolicy>(ReliefOptions{
+            false, DeadlineScheme::CriticalPath, feasibility_check});
       case PolicyKind::ReliefHetSched:
         return std::make_unique<ReliefPolicy>(
-            ReliefOptions{false, DeadlineScheme::Sdr, true});
+            ReliefOptions{false, DeadlineScheme::Sdr, feasibility_check});
     }
     panic("unknown policy kind");
 }

@@ -13,7 +13,9 @@ namespace relief
 BurnRateAlerts::BurnRateAlerts(Simulator &sim,
                                const BurnRateConfig &config,
                                const std::vector<ClassSlo> *classes)
-    : SimObject(sim, "serve.alerts"), config_(config), classes_(classes)
+    : PeriodicService(sim, "serve.alerts", config.evalPeriod,
+                      HostCat::Serve, "serve.alerts.tick"),
+      config_(config), classes_(classes)
 {
     RELIEF_ASSERT(classes_ != nullptr && !classes_->empty(),
                   "burn-rate alerts need at least one QoS class");
@@ -29,40 +31,6 @@ BurnRateAlerts::BurnRateAlerts(Simulator &sim,
                   "open threshold below close threshold: the alert "
                   "would churn");
     states_.resize(classes_->size());
-}
-
-void
-BurnRateAlerts::setLiveness(std::function<bool()> alive)
-{
-    alive_ = std::move(alive);
-}
-
-void
-BurnRateAlerts::start()
-{
-    if (pending_.pending())
-        return;
-    tick();
-}
-
-void
-BurnRateAlerts::stop()
-{
-    pending_.cancel();
-}
-
-void
-BurnRateAlerts::tick()
-{
-    evaluateNow();
-    // Re-arm only while the model is alive (injectable, like the
-    // IntervalSampler): two periodic services keyed on raw event-queue
-    // occupancy would keep each other alive forever.
-    bool alive = alive_ ? alive_() : !sim().events().empty();
-    if (alive)
-        pending_ = sim().after(config_.evalPeriod, HostCat::Serve,
-                               [this] { tick(); },
-                               "serve.alerts.tick");
 }
 
 double

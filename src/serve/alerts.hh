@@ -17,9 +17,8 @@
  * open/close churn while a class hovers near its budget.
  *
  * The evaluator samples the live per-class ClassSlo counters on a
- * periodic sim-time event (same liveness discipline as the
- * IntervalSampler), records every open/close transition in its alert
- * log — mirrored onto the `Serve` debug flag like the scheduler's
+ * periodic sim-time event (a PeriodicService), records every
+ * open/close transition in its alert log — mirrored onto the `Serve` debug flag like the scheduler's
  * decision log — and summarizes per class into the relief-serve-v1
  * "alerts" block. Everything is a pure function of the run, so alert
  * event streams are bit-identical across platforms and worker counts.
@@ -30,13 +29,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "serve/slo.hh"
-#include "sim/simulator.hh"
+#include "sim/periodic_service.hh"
 
 namespace relief
 {
@@ -76,7 +74,7 @@ struct ClassAlertSummary
     double finalSlowBurn = 0.0;
 };
 
-class BurnRateAlerts : public SimObject
+class BurnRateAlerts : public PeriodicService
 {
   public:
     /**
@@ -87,15 +85,6 @@ class BurnRateAlerts : public SimObject
      */
     BurnRateAlerts(Simulator &sim, const BurnRateConfig &config,
                    const std::vector<ClassSlo> *classes);
-
-    /** Re-arm while this returns true (default: events pending). */
-    void setLiveness(std::function<bool()> alive);
-
-    /** Evaluate now and begin periodic evaluation. */
-    void start();
-
-    /** Cancel the pending wakeup; start() re-arms. */
-    void stop();
 
     /** One evaluation pass at the current tick (also called by the
      *  periodic event). */
@@ -137,14 +126,12 @@ class BurnRateAlerts : public SimObject
         double slowBurn = 0.0;
     };
 
-    void tick();
+    void tick() override { evaluateNow(); }
     double windowBurn(const ClassState &state, Tick window) const;
 
     BurnRateConfig config_;
     const std::vector<ClassSlo> *classes_;
     std::vector<ClassState> states_;
-    std::function<bool()> alive_;
-    EventHandle pending_;
     std::vector<AlertEvent> events_;
     bool finished_ = false;
 };

@@ -46,7 +46,7 @@ struct HostProfState
     }
 };
 
-thread_local HostProfState *tlsState = nullptr;
+constinit thread_local HostProfState *tlsState = nullptr;
 
 namespace
 {

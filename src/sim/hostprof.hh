@@ -66,8 +66,10 @@ const char *hostCatName(HostCat cat);
 namespace hostprof_detail
 {
 struct HostProfState;
-/** Non-null while the calling thread is profiling. */
-extern thread_local HostProfState *tlsState;
+/** Non-null while the calling thread is profiling. constinit: the
+ *  pointer needs no dynamic initialization, so reads skip the TLS
+ *  init wrapper (which UBSan flags as a null load). */
+extern constinit thread_local HostProfState *tlsState;
 } // namespace hostprof_detail
 
 /** True when host profiling is on for the calling thread. The one

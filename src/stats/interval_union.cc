@@ -105,15 +105,4 @@ IntervalUnion::compact()
     compactAt_ = std::max(minCompact, 2 * kept);
 }
 
-void
-IntervalUnion::clear()
-{
-    intervals_.clear();
-    sorted_ = true;
-    rawSum_ = 0;
-    watermark_ = 0;
-    retiredSum_ = 0;
-    compactAt_ = minCompact;
-}
-
 } // namespace relief

@@ -53,8 +53,6 @@ class IntervalUnion
     /** Current retire watermark (0 until retire() is called). */
     Tick watermark() const { return watermark_; }
 
-    void clear();
-
   private:
     /** Minimum stored-interval count before retire() compacts. */
     static constexpr std::size_t minCompact = 64;

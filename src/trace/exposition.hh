@@ -20,11 +20,7 @@
  *  - histogram summaries (`_count`, `_sum`, and p50/p95/p99
  *    quantiles).
  *
- * Like the IntervalSampler, the publisher only re-arms while the model
- * is alive; the liveness predicate is injectable so the serving driver
- * can key it on real work (arrivals pending or requests in flight)
- * rather than raw event-queue occupancy — two periodic services using
- * the queue-occupancy default would keep each other alive forever.
+ * Re-arming and liveness follow PeriodicService.
  *
  * Rendered snapshots are retained in memory (snapshots()) so tests and
  * the report path can inspect them without touching the filesystem;
@@ -34,12 +30,11 @@
 #ifndef RELIEF_TRACE_EXPOSITION_HH
 #define RELIEF_TRACE_EXPOSITION_HH
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "sim/simulator.hh"
+#include "sim/periodic_service.hh"
 #include "stats/registry.hh"
 
 namespace relief
@@ -57,7 +52,7 @@ struct ExpositionConfig
     bool series = false;
 };
 
-class StatExposition : public SimObject
+class StatExposition : public PeriodicService
 {
   public:
     /**
@@ -67,15 +62,6 @@ class StatExposition : public SimObject
      */
     StatExposition(Simulator &sim, const StatRegistry &stats,
                    ExpositionConfig config);
-
-    /** Re-arm while this returns true (default: events pending). */
-    void setLiveness(std::function<bool()> alive);
-
-    /** Take the first snapshot now and begin periodic publishing. */
-    void start();
-
-    /** Cancel the pending wakeup; start() re-arms. */
-    void stop();
 
     /** Take one extra snapshot at the current tick (end-of-run state;
      *  also published to the file). */
@@ -99,15 +85,13 @@ class StatExposition : public SimObject
     static std::string sanitizeName(const std::string &name);
 
   private:
-    void tick();
+    void tick() override { publish(); }
     void publish();
     std::string render();
     void writeFile(const std::string &text);
 
     const StatRegistry &stats_;
     ExpositionConfig config_;
-    std::function<bool()> alive_;
-    EventHandle pending_;
     std::vector<std::string> snapshots_;
     /** Previous snapshot's counter values (delta-window rates). */
     std::map<std::string, double> prevValues_;

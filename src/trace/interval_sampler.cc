@@ -9,9 +9,11 @@ namespace relief
 
 IntervalSampler::IntervalSampler(Simulator &sim, TraceRecorder &trace,
                                  Tick period)
-    : SimObject(sim, "sampler"), trace_(trace), period_(period)
+    : PeriodicService(sim, "sampler", period, HostCat::Stats,
+                      "sampler.tick"),
+      trace_(trace)
 {
-    RELIEF_ASSERT(period_ > 0, "sampler period must be positive");
+    RELIEF_ASSERT(period > 0, "sampler period must be positive");
 }
 
 void
@@ -24,37 +26,10 @@ IntervalSampler::addProbe(const std::string &track_name, Probe probe)
 }
 
 void
-IntervalSampler::setLiveness(std::function<bool()> alive)
-{
-    alive_ = std::move(alive);
-}
-
-void
-IntervalSampler::start()
-{
-    if (pending_.pending())
-        return;
-    sampleOnce();
-}
-
-void
-IntervalSampler::stop()
-{
-    pending_.cancel();
-}
-
-void
-IntervalSampler::sampleOnce()
+IntervalSampler::tick()
 {
     for (const auto &[track, probe] : probes_)
         trace_.counter(track, now(), probe());
-    // Re-arm only while the model still has work in flight; otherwise
-    // the sampler would keep an idle event queue spinning forever.
-    bool alive = alive_ ? alive_() : !sim().events().empty();
-    if (alive)
-        pending_ = sim().after(period_, HostCat::Stats,
-                               [this] { sampleOnce(); },
-                               "sampler.tick");
 }
 
 } // namespace relief

@@ -9,9 +9,7 @@
  * bytes, per-accelerator occupancy) when tracing is enabled, so a
  * Chrome trace shows the memory pressure alongside the schedule.
  *
- * The sampler only re-arms itself while other events are pending, so
- * it never keeps the event queue alive on its own: a run ends at most
- * one period after the last real event.
+ * Re-arming and liveness follow PeriodicService.
  */
 
 #ifndef RELIEF_TRACE_INTERVAL_SAMPLER_HH
@@ -21,13 +19,13 @@
 #include <string>
 #include <vector>
 
-#include "sim/simulator.hh"
+#include "sim/periodic_service.hh"
 #include "trace/trace.hh"
 
 namespace relief
 {
 
-class IntervalSampler : public SimObject
+class IntervalSampler : public PeriodicService
 {
   public:
     /** Reads the current value of one sampled quantity. */
@@ -44,33 +42,13 @@ class IntervalSampler : public SimObject
     /** Register @p probe under the counter track @p track_name. */
     void addProbe(const std::string &track_name, Probe probe);
 
-    /**
-     * Re-arm while @p alive returns true instead of the default
-     * "events pending" check. The serving driver keys every periodic
-     * service (sampler, exposition, alerts) on real work — arrivals
-     * pending or requests in flight — because two periodic services
-     * using the queue-occupancy default would keep each other alive
-     * forever.
-     */
-    void setLiveness(std::function<bool()> alive);
-
     std::size_t numProbes() const { return probes_.size(); }
-    Tick period() const { return period_; }
-
-    /** Take the first sample now and begin periodic sampling. */
-    void start();
-
-    /** Cancel the pending wakeup; start() re-arms. */
-    void stop();
 
   private:
-    void sampleOnce();
+    void tick() override;
 
     TraceRecorder &trace_;
-    Tick period_;
     std::vector<std::pair<int, Probe>> probes_;
-    std::function<bool()> alive_;
-    EventHandle pending_;
 };
 
 } // namespace relief

@@ -91,15 +91,5 @@ TEST_F(AcceleratorTest, OwnsSpmAndDma)
     EXPECT_EQ(acc.dma().port(), 1);
 }
 
-TEST_F(AcceleratorTest, ResetStatsClearsEverything)
-{
-    acc.acquire();
-    acc.startCompute(fromUs(10.0), nullptr);
-    sim.run();
-    acc.resetStats();
-    EXPECT_EQ(acc.computeBusyTime(), 0u);
-    EXPECT_EQ(acc.tasksExecuted(), 0u);
-}
-
 } // namespace
 } // namespace relief

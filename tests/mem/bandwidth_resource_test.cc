@@ -58,16 +58,6 @@ TEST(BandwidthResourceTest, ZeroBandwidthIsRejected)
     EXPECT_THROW(BandwidthResource("bad", 0.0, 0), PanicError);
 }
 
-TEST(BandwidthResourceTest, ResetStatsKeepsTimeline)
-{
-    BandwidthResource res("r", 1.0, 0);
-    res.claim(0, 100);
-    res.resetStats();
-    EXPECT_EQ(res.totalBytes(), 0u);
-    // The reservation timeline is preserved: new claims still queue.
-    EXPECT_EQ(res.claim(0, 10), fromNs(100.0));
-}
-
 TEST(ReserveTransferTest, BottleneckSetsDuration)
 {
     BandwidthResource fast("fast", 10.0, 0);

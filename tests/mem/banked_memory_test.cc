@@ -1,24 +1,25 @@
-/** @file Unit tests for the bank-aware DRAM model. */
+/** @file Unit tests for the banked shape of the DRAM model. */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "mem/banked_memory.hh"
+#include "core/soc.hh"
+#include "mem/main_memory.hh"
 
 namespace relief
 {
 namespace
 {
 
-BankedMemoryConfig
+MainMemoryConfig
 simpleConfig()
 {
-    BankedMemoryConfig config;
+    MainMemoryConfig config;
     config.peakGBs = 10.0;
     config.accessLatency = 0;
     config.numBanks = 4;
-    config.bankEfficiency = 0.5;
+    config.efficiency = 0.5;
     config.bankLatency = 0;
     return config;
 }
@@ -26,7 +27,7 @@ simpleConfig()
 TEST(BankedMemoryTest, ChannelRunsAtPeak)
 {
     Simulator sim;
-    BankedMemory mem(sim, "dram", simpleConfig());
+    MainMemory mem(sim, "dram", simpleConfig());
     EXPECT_DOUBLE_EQ(mem.channel().bandwidth(), 10.0);
     EXPECT_EQ(mem.numBanks(), 4);
     EXPECT_DOUBLE_EQ(mem.bank(0).bandwidth(), 5.0);
@@ -35,7 +36,7 @@ TEST(BankedMemoryTest, ChannelRunsAtPeak)
 TEST(BankedMemoryTest, PathContainsBankThenChannel)
 {
     Simulator sim;
-    BankedMemory mem(sim, "dram", simpleConfig());
+    MainMemory mem(sim, "dram", simpleConfig());
     auto path = mem.path(1);
     ASSERT_EQ(path.size(), 2u);
     EXPECT_EQ(path[1], &mem.channel());
@@ -44,14 +45,14 @@ TEST(BankedMemoryTest, PathContainsBankThenChannel)
 TEST(BankedMemoryTest, SameStreamHitsSameBank)
 {
     Simulator sim;
-    BankedMemory mem(sim, "dram", simpleConfig());
+    MainMemory mem(sim, "dram", simpleConfig());
     EXPECT_EQ(mem.path(42)[0], mem.path(42)[0]);
 }
 
 TEST(BankedMemoryTest, StreamsSpreadAcrossBanks)
 {
     Simulator sim;
-    BankedMemory mem(sim, "dram", simpleConfig());
+    MainMemory mem(sim, "dram", simpleConfig());
     std::set<BandwidthResource *> banks;
     for (std::uint64_t hint = 1; hint <= 32; ++hint)
         banks.insert(mem.path(hint)[0]);
@@ -61,7 +62,7 @@ TEST(BankedMemoryTest, StreamsSpreadAcrossBanks)
 TEST(BankedMemoryTest, SingleStreamIsBankLimited)
 {
     Simulator sim;
-    BankedMemory mem(sim, "dram", simpleConfig());
+    MainMemory mem(sim, "dram", simpleConfig());
     auto t = reserveTransfer(mem.path(7), 0, 1000);
     // 1000 B at the 5 GB/s bank rate = 200 ns.
     EXPECT_EQ(t.end, fromNs(200.0));
@@ -70,8 +71,8 @@ TEST(BankedMemoryTest, SingleStreamIsBankLimited)
 TEST(BankedMemoryTest, IndependentStreamsOverlapUntilChannelSaturates)
 {
     Simulator sim;
-    BankedMemoryConfig config = simpleConfig();
-    BankedMemory mem(sim, "dram", config);
+    MainMemoryConfig config = simpleConfig();
+    MainMemory mem(sim, "dram", config);
 
     // Find two hints mapping to different banks.
     std::uint64_t a = 1, b = 2;
@@ -88,34 +89,33 @@ TEST(BankedMemoryTest, IndependentStreamsOverlapUntilChannelSaturates)
 TEST(BankedMemoryTest, SameBankStreamsSerialize)
 {
     Simulator sim;
-    BankedMemory mem(sim, "dram", simpleConfig());
+    MainMemory mem(sim, "dram", simpleConfig());
     auto t1 = reserveTransfer(mem.path(7), 0, 1000);
     auto t2 = reserveTransfer(mem.path(7), 0, 1000);
     EXPECT_EQ(t1.end, fromNs(200.0));
     EXPECT_EQ(t2.end, fromNs(400.0));
 }
 
-TEST(BankedMemoryTest, ResetClearsBankStats)
-{
-    Simulator sim;
-    BankedMemory mem(sim, "dram", simpleConfig());
-    reserveTransfer(mem.path(3), 0, 1000);
-    mem.resetStats();
-    for (int i = 0; i < mem.numBanks(); ++i)
-        EXPECT_EQ(mem.bank(i).totalBytes(), 0u);
-    EXPECT_EQ(mem.channel().totalBytes(), 0u);
-}
-
 TEST(BankedMemoryTest, WorksAsSocBackend)
 {
-    // Compile/behaviour check through the polymorphic interface.
-    Simulator sim;
-    auto config = simpleConfig();
-    std::unique_ptr<MainMemory> mem =
-        std::make_unique<BankedMemory>(sim, "dram", config);
-    EXPECT_EQ(mem->path(5).size(), 2u);
-    mem->recordRead(128);
-    EXPECT_EQ(mem->readBytes(), 128u);
+    // The Soc's one selector builds the banked shape, with the banks
+    // at the configured single-stream efficiency and the channel at
+    // peak. The default efficiency keeps the calibrated 0.55.
+    for (double efficiency : {0.55, 0.3}) {
+        SocConfig config;
+        config.bankedMemory = true;
+        config.mem.efficiency = efficiency;
+        Soc soc(config);
+        MainMemory &mem = soc.dram();
+        ASSERT_EQ(mem.numBanks(), 8);
+        EXPECT_DOUBLE_EQ(mem.channel().bandwidth(), 12.8);
+        for (int i = 0; i < mem.numBanks(); ++i)
+            EXPECT_DOUBLE_EQ(mem.bank(i).bandwidth(), 12.8 * efficiency)
+                << "bank " << i << " at efficiency " << efficiency;
+        EXPECT_EQ(mem.path(5).size(), 2u);
+        mem.recordRead(128);
+        EXPECT_EQ(mem.readBytes(), 128u);
+    }
 }
 
 } // namespace

@@ -17,6 +17,13 @@ TEST(MainMemoryTest, EffectiveBandwidthIsPeakTimesEfficiency)
     config.efficiency = 0.5;
     MainMemory mem(sim, "dram", config);
     EXPECT_DOUBLE_EQ(mem.channel().bandwidth(), 6.4);
+    // Flat is the zero-bank case: a transfer claims the channel alone,
+    // so no bank latency is added to any path.
+    EXPECT_EQ(mem.numBanks(), 0);
+    std::vector<BandwidthResource *> path = mem.path(7);
+    ASSERT_EQ(path.size(), 1u);
+    EXPECT_EQ(path[0], &mem.channel());
+    EXPECT_EQ(mem.pressureResources(), path);
 }
 
 TEST(MainMemoryTest, DefaultsMatchTableVI)
@@ -50,17 +57,6 @@ TEST(MainMemoryTest, EnergyScalesWithBytes)
     mem.recordRead(100);
     mem.recordWrite(100);
     EXPECT_DOUBLE_EQ(mem.energyPJ(), 3000.0);
-}
-
-TEST(MainMemoryTest, ResetClearsCounters)
-{
-    Simulator sim;
-    MainMemory mem(sim, "dram");
-    mem.recordRead(100);
-    mem.channel().claim(0, 64);
-    mem.resetStats();
-    EXPECT_EQ(mem.totalBytes(), 0u);
-    EXPECT_EQ(mem.channel().totalBytes(), 0u);
 }
 
 TEST(MainMemoryTest, StreamingTimeMatchesTableICalibration)

@@ -4,8 +4,8 @@
 
 #include <sstream>
 
-#include "mem/banked_memory.hh"
 #include "mem/bandwidth_resource.hh"
+#include "mem/main_memory.hh"
 #include "mem/pressure_ledger.hh"
 #include "sim/logging.hh"
 
@@ -198,20 +198,6 @@ TEST(PressureLedgerTest, TopContendersSortByDelayCaused)
     EXPECT_EQ(top1[0].key, rows[0].key);
 }
 
-TEST(PressureLedgerTest, ResetStatsClearsSlotsAndRings)
-{
-    PressureLedger ledger;
-    ledger.addSource("a");
-    BandwidthResource res("r", 1.0, 0);
-    int id = ledger.addResource(res);
-    ledger.seal();
-
-    res.claim(0, 100, 0, tag(0));
-    ledger.resetStats();
-    EXPECT_EQ(ledger.resourceTotal(id).transfers, 0u);
-    EXPECT_EQ(ledger.queueDepth(id, 0), 0);
-}
-
 TEST(PressureLedgerTest, TaggedReserveTransferChargesEveryResource)
 {
     PressureLedger ledger;
@@ -277,23 +263,23 @@ TEST(PressureLedgerTest, WriteJsonEmitsSchemaAndBalancedBooks)
     EXPECT_EQ(embedded.str().find("\"schema\""), std::string::npos);
 }
 
-// --- BankedMemory contention through the ledger ---
+// --- Banked DRAM contention through the ledger ---
 
-BankedMemoryConfig
+MainMemoryConfig
 bankedConfig()
 {
-    BankedMemoryConfig config;
+    MainMemoryConfig config;
     config.peakGBs = 10.0;
     config.accessLatency = 0;
     config.numBanks = 4;
-    config.bankEfficiency = 0.5;
+    config.efficiency = 0.5;
     config.bankLatency = 0;
     return config;
 }
 
 /** Hints mapping to distinct banks (probed via path identity). */
 std::pair<std::uint64_t, std::uint64_t>
-distinctBankHints(BankedMemory &mem)
+distinctBankHints(MainMemory &mem)
 {
     for (std::uint64_t h = 2; h < 64; ++h)
         if (mem.path(h)[0] != mem.path(1)[0])
@@ -305,7 +291,7 @@ distinctBankHints(BankedMemory &mem)
 TEST(BankedPressureTest, SameBankStreamsSerializeWithMutualBlame)
 {
     Simulator sim;
-    BankedMemory mem(sim, "dram", bankedConfig());
+    MainMemory mem(sim, "dram", bankedConfig());
     PressureLedger ledger;
     ledger.addSource("accA");
     ledger.addSource("accB");
@@ -334,7 +320,7 @@ TEST(BankedPressureTest, SameBankStreamsSerializeWithMutualBlame)
 TEST(BankedPressureTest, DistinctBanksOverlapAndAggregateOnChannel)
 {
     Simulator sim;
-    BankedMemory mem(sim, "dram", bankedConfig());
+    MainMemory mem(sim, "dram", bankedConfig());
     PressureLedger ledger;
     ledger.addSource("accA");
     ledger.addSource("accB");

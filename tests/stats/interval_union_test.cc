@@ -95,15 +95,6 @@ TEST(IntervalUnionTest, QueryThenAddThenQuery)
     EXPECT_EQ(u.covered(), 20u);
 }
 
-TEST(IntervalUnionTest, ClearResets)
-{
-    IntervalUnion u;
-    u.add(0, 10);
-    u.clear();
-    EXPECT_EQ(u.covered(), 0u);
-    EXPECT_EQ(u.rawSum(), 0u);
-}
-
 /**
  * Reference union: the covered length of [0, upTo) computed from every
  * interval ever added, by testing each elementary segment between
@@ -203,17 +194,6 @@ TEST(IntervalUnionTest, CoveredBelowWatermarkPanics)
     EXPECT_EQ(u.covered(20), 10u);
     // The empty window [0, 0) is exact at any watermark.
     EXPECT_EQ(u.covered(0), 0u);
-}
-
-TEST(IntervalUnionTest, ClearResetsTheWatermark)
-{
-    IntervalUnion u;
-    u.add(0, 10);
-    u.retire(50);
-    u.clear();
-    EXPECT_EQ(u.watermark(), 0u);
-    u.add(0, 5);
-    EXPECT_EQ(u.covered(), 5u);
 }
 
 } // namespace
