@@ -232,6 +232,13 @@ Dag::writeDot(std::ostream &os) const
 }
 
 void
+Dag::renumber()
+{
+    for (auto &node : nodes_)
+        node->id = nextNodeId++;
+}
+
+void
 Dag::submit(Tick tick)
 {
     RELIEF_ASSERT(finalized_, name_, ": submit before finalize");

@@ -122,6 +122,15 @@ class Dag
     /** Mark submission at @p tick; resets node runtime state. */
     void submit(Tick tick);
 
+    /**
+     * Re-draw every node id from this thread's allocator, in node
+     * order: exactly the ids a fresh build of the same DAG would draw
+     * at this point, so a recycled DAG keeps the run's id sequence
+     * (and with it DRAM stream hints and SPM ownership). Only for a
+     * DAG that is not in flight.
+     */
+    void renumber();
+
     Tick arrivalTick() const { return arrival_; }
     Tick absoluteDeadline() const { return arrival_ + relDeadline_; }
 

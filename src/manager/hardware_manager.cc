@@ -550,7 +550,8 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
 
     Dag *dag = node->dag;
     dag->noteNodeFinished();
-    if (dag->complete()) {
+    const bool retires = dag->complete();
+    if (retires) {
         dag->setFinishTick(now());
         ++metrics_.dagsFinished;
         if (now() <= dag->absoluteDeadline())
@@ -603,7 +604,7 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
     Tick done = chargeReadyBatch(ready, node);
     AccState *state_ptr = &state;
     sim().at(done, HostCat::Sched,
-             [this, state_ptr, node, partition,
+             [this, state_ptr, node, partition, retires,
               ready = std::move(ready)]() mutable {
                  enqueueReadyBatch(std::move(ready));
                  handleWriteBack(*state_ptr, node, partition);
@@ -620,6 +621,11 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
                                                      node->actualMemTime);
                  }
                  tryLaunchAll();
+                 // Every sibling's ISR ran earlier: the manager
+                 // timeline is FIFO, and without latency modelling
+                 // they share this tick at lower sequence numbers.
+                 if (retires && onDagRetired_)
+                     onDagRetired_(node->dag);
              },
              [this] { return name() + ".isr"; });
 }

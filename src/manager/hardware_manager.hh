@@ -109,6 +109,20 @@ class HardwareManager : public SimObject
         onDagAttributed_ = std::move(handler);
     }
 
+    /**
+     * Register a callback fired once a completed DAG is retired: at
+     * the end of the ISR event of the node that completed it, after
+     * that node's write-back decision. From then on the manager reads
+     * nothing of the DAG, so its owner may renumber and resubmit it.
+     * The completion handler fires earlier, while the final
+     * write-back still reads the node's id, QoS class and span
+     * context.
+     */
+    void setDagRetiredHandler(std::function<void(Dag *)> handler)
+    {
+        onDagRetired_ = std::move(handler);
+    }
+
     Policy &policy() { return *policy_; }
     RuntimePredictor &predictor() { return *predictor_; }
 
@@ -250,6 +264,7 @@ class HardwareManager : public SimObject
     Tick managerFreeAt_ = 0;
     std::function<void(Dag *)> onDagComplete_;
     DagAttributionHandler onDagAttributed_;
+    std::function<void(Dag *)> onDagRetired_;
     TraceRecorder *trace_ = nullptr;
 };
 

@@ -49,19 +49,19 @@ DecisionLog::record(PromotionDecision decision)
 {
     if (decision.granted)
         ++granted_;
-    decision.label = intern(decision.node, decision.label);
+    decision.label = intern(decision.label);
     if (!decision.victim.empty())
-        decision.victim = intern(decision.victimNode, decision.victim);
+        decision.victim = intern(decision.victim);
     decisions_.push_back(decision);
 }
 
 std::string_view
-DecisionLog::intern(NodeId id, std::string_view label)
+DecisionLog::intern(std::string_view label)
 {
-    const std::string *&slot = labelOf_[id];
-    if (!slot || *slot != label)
-        slot = &labels_.emplace_back(label);
-    return *slot;
+    auto found = labelIndex_.find(label);
+    if (found != labelIndex_.end())
+        return *found;
+    return *labelIndex_.insert(labels_.emplace_back(label)).first;
 }
 
 const PromotionDecision &
@@ -102,8 +102,8 @@ DecisionLog::clear()
 {
     decisions_.clear();
     granted_ = 0;
+    labelIndex_.clear();
     labels_.clear();
-    labelOf_.clear();
 }
 
 } // namespace relief

@@ -16,9 +16,11 @@
  * the log records.
  *
  * Recording copies no strings: a decision's label and victim are views
- * into a label table the log owns, interned once per node id (and
- * again only when a reused id carries a different label). Recorded
- * labels therefore outlive the DAG they name and resetNodeIds() reuse.
+ * into a label table the log owns, interned once per distinct label
+ * text. Node ids play no part, so the table grows with the number of
+ * distinct labels, not with the number of nodes (serving runs draw
+ * fresh ids for every request). Recorded labels therefore outlive the
+ * DAG they name and resetNodeIds() reuse.
  */
 
 #ifndef RELIEF_SCHED_DECISION_LOG_HH
@@ -29,7 +31,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "acc/acc_types.hh"
@@ -112,16 +114,16 @@ class DecisionLog
     void clear();
 
   private:
-    /** The table's copy of @p label for node @p id, interning it when
-     *  the id is new or last carried a different label. */
-    std::string_view intern(NodeId id, std::string_view label);
+    /** The table's copy of @p label, interning it on first sight. */
+    std::string_view intern(std::string_view label);
 
     std::vector<PromotionDecision> decisions_;
     std::uint64_t granted_ = 0;
     /** Interned labels; a deque never moves its elements, so views into
      *  them stay valid as the table grows. */
     std::deque<std::string> labels_;
-    std::unordered_map<NodeId, const std::string *> labelOf_;
+    /** Views of the labels_ entries, for lookup by content. */
+    std::unordered_set<std::string_view> labelIndex_;
 };
 
 } // namespace relief

@@ -73,6 +73,7 @@ ServeDriver::ServeDriver(const ServeConfig &config) : config_(config)
                                  deriveSeed(config_.seed, 0));
     requests_.resize(schedule_.size());
     dags_.resize(schedule_.size());
+    freeDags_.resize(config_.classes.size() * allApps.size());
 
     parallelism_ = 0;
     for (int n : config_.soc.instances)
@@ -89,6 +90,8 @@ ServeDriver::ServeDriver(const ServeConfig &config) : config_(config)
 
     soc_->manager().setDagCompletionHandler(
         [this](Dag *dag) { onComplete(dag); });
+    soc_->manager().setDagRetiredHandler(
+        [this](Dag *dag) { onRetired(dag); });
 
     // Telemetry services re-arm only while real serving work remains
     // (arrivals still scheduled or requests in flight). The default
@@ -252,8 +255,16 @@ ServeDriver::onArrival(std::size_t index)
     request.app = event.app;
     request.arrival = event.time;
 
-    DagPtr dag =
-        buildRequestDag(event.app, config_.app, cls.deadlineScale);
+    // A recycled DAG draws the same ids a fresh build would here.
+    std::vector<DagPtr> &free = freeDags(request);
+    DagPtr dag;
+    if (free.empty()) {
+        dag = buildRequestDag(event.app, config_.app, cls.deadlineScale);
+    } else {
+        dag = std::move(free.back());
+        free.pop_back();
+        dag->renumber();
+    }
     request.relDeadline = dag->relativeDeadline();
 
     AdmissionContext ctx;
@@ -271,11 +282,13 @@ ServeDriver::onArrival(std::size_t index)
         slo.shed += 1;
         total_.shed += 1;
         recordDropTrace(request, RequestOutcome::Shed);
-        return; // DAG is discarded
+        free.push_back(std::move(dag)); // never ran: reusable at once
+        return;
       case AdmissionVerdict::Rejected:
         slo.rejected += 1;
         total_.rejected += 1;
         recordDropTrace(request, RequestOutcome::Rejected);
+        free.push_back(std::move(dag));
         return;
       case AdmissionVerdict::Admitted:
         break;
@@ -291,9 +304,47 @@ ServeDriver::onArrival(std::size_t index)
     // likewise the class index shifted past the implicit "default".
     dag->setSpanContext(std::uint64_t(index) + 1);
     dag->setQosClass(int(event.qosClass) + 1);
-    dags_[index] = dag;
-    byDag_[dag.get()] = index;
     soc_->manager().submitDag(dag.get(), soc_->sim().now());
+    dags_[index] = std::move(dag);
+}
+
+ServeRequest &
+ServeDriver::requestOf(const Dag *dag)
+{
+    // The span context is the request index shifted up by one.
+    std::size_t index = std::size_t(dag->spanContext() - 1);
+    RELIEF_ASSERT(index < dags_.size() && dags_[index].get() == dag,
+                  "unknown request DAG ", dag->name());
+    return requests_[index];
+}
+
+std::vector<DagPtr> &
+ServeDriver::freeDags(const ServeRequest &request)
+{
+    std::size_t app = std::size_t(
+        std::find(allApps.begin(), allApps.end(), request.app) -
+        allApps.begin());
+    return freeDags_[std::size_t(request.qosClass) * allApps.size() +
+                     app];
+}
+
+/** The manager is done with the DAG: back on its free list. */
+void
+ServeDriver::onRetired(Dag *dag)
+{
+    ServeRequest &request = requestOf(dag);
+    freeDags(request).push_back(std::move(dags_[request.id]));
+}
+
+std::size_t
+ServeDriver::ownedDags() const
+{
+    std::size_t owned = 0;
+    for (const DagPtr &dag : dags_)
+        owned += dag != nullptr;
+    for (const std::vector<DagPtr> &free : freeDags_)
+        owned += free.size();
+    return owned;
 }
 
 /** Shed / rejected requests never execute: keep a root-only trace
@@ -322,10 +373,7 @@ ServeDriver::recordDropTrace(const ServeRequest &request,
 void
 ServeDriver::onAttributed(Dag *dag, const DagLatencyRecord &record)
 {
-    auto found = byDag_.find(dag);
-    RELIEF_ASSERT(found != byDag_.end(),
-                  "attribution for unknown request DAG ", dag->name());
-    const ServeRequest &request = requests_[found->second];
+    const ServeRequest &request = requestOf(dag);
     RequestOutcome outcome =
         record.finish > request.absoluteDeadline() ? RequestOutcome::Miss
                                                    : RequestOutcome::Ok;
@@ -356,10 +404,7 @@ ServeDriver::onAttributed(Dag *dag, const DagLatencyRecord &record)
 void
 ServeDriver::onComplete(Dag *dag)
 {
-    auto found = byDag_.find(dag);
-    RELIEF_ASSERT(found != byDag_.end(),
-                  "completion for unknown request DAG ", dag->name());
-    ServeRequest &request = requests_[found->second];
+    ServeRequest &request = requestOf(dag);
     RELIEF_ASSERT(!request.finished, "request ", request.id,
                   " completed twice");
     request.finished = true;

@@ -4,12 +4,19 @@
  * under open-loop load.
  *
  * ServeDriver generates a seeded arrival schedule (serve/arrival.hh),
- * and at each arrival tick builds a fresh DAG for the request's
- * application, consults the admission policy (serve/admission.hh),
- * and submits admitted requests through the hardware manager's timed
- * host interface. Completions are intercepted to maintain per-class
- * SLO accounting (serve/slo.hh), which is also registered in the
- * Soc's StatRegistry under "serve.*" names.
+ * and at each arrival tick takes a DAG for the request's application,
+ * consults the admission policy (serve/admission.hh), and submits
+ * admitted requests through the hardware manager's timed host
+ * interface. Completions are intercepted to maintain per-class SLO
+ * accounting (serve/slo.hh), which is also registered in the Soc's
+ * StatRegistry under "serve.*" names.
+ *
+ * Request DAGs are recycled: the driver keeps one free list per
+ * (QoS class, application) pair. An arrival takes a DAG from its list
+ * and renumbers it (Dag::renumber), building one only when the list is
+ * empty; shed and rejected requests hand theirs back at once, admitted
+ * ones when the manager retires the DAG. The DAGs a run owns are
+ * therefore bounded by the peak number in flight, not by the horizon.
  *
  * Determinism contract: a ServeReport is a pure function of
  * (ServeConfig, seed). The driver resets the thread-local node-id
@@ -35,7 +42,6 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/soc.hh"
@@ -143,11 +149,20 @@ class ServeDriver
     /** The burn-rate evaluator, or nullptr when disabled. */
     BurnRateAlerts *alerts() { return alerts_.get(); }
 
+    /** Request DAGs the driver owns: in flight plus recycled ones
+     *  waiting on the free lists. */
+    std::size_t ownedDags() const;
+
   private:
     void registerStats();
     void onArrival(std::size_t index);
     void onComplete(Dag *dag);
     void onAttributed(Dag *dag, const DagLatencyRecord &record);
+    void onRetired(Dag *dag);
+    /** The request a submitted DAG executes (its span context). */
+    ServeRequest &requestOf(const Dag *dag);
+    /** The free list of @p request's (class, application) pair. */
+    std::vector<DagPtr> &freeDags(const ServeRequest &request);
     void recordDropTrace(const ServeRequest &request,
                          RequestOutcome outcome);
 
@@ -156,8 +171,10 @@ class ServeDriver
     std::unique_ptr<AdmissionPolicy> admission_;
     std::vector<ArrivalEvent> schedule_;
     std::vector<ServeRequest> requests_;
-    std::vector<DagPtr> dags_; ///< Keeps admitted DAGs alive.
-    std::unordered_map<const Dag *, std::size_t> byDag_;
+    /** Admitted DAGs until retirement, by request index. */
+    std::vector<DagPtr> dags_;
+    /** Retired or unused DAGs, one list per (class, application). */
+    std::vector<std::vector<DagPtr>> freeDags_;
     std::vector<ClassSlo> slo_;
     ClassSlo total_;
     std::unique_ptr<TailSampler> sampler_;

@@ -34,6 +34,29 @@ TEST(DagTest, NodesGetUniqueIdsAndIndices)
     EXPECT_EQ(a->dag, &dag);
 }
 
+TEST(DagTest, RenumberDrawsTheIdsOfAFreshBuild)
+{
+    auto ids = [](Dag &dag) {
+        std::vector<NodeId> out;
+        for (Node *node : dag.allNodes())
+            out.push_back(node->id);
+        return out;
+    };
+    resetNodeIds();
+    DagPtr first = buildApp(AppId::Harris, AppConfig{});
+    DagPtr second = buildApp(AppId::Harris, AppConfig{});
+    DagPtr third = buildApp(AppId::Canny, AppConfig{});
+
+    // Same sequence, but the second build replaced by a renumbering.
+    resetNodeIds();
+    DagPtr recycled = buildApp(AppId::Harris, AppConfig{});
+    EXPECT_EQ(ids(*recycled), ids(*first));
+    recycled->renumber();
+    EXPECT_EQ(ids(*recycled), ids(*second));
+    EXPECT_EQ(ids(*buildApp(AppId::Canny, AppConfig{})), ids(*third));
+    resetNodeIds();
+}
+
 TEST(DagTest, EdgesLinkBothDirections)
 {
     Dag dag("t", 'T');

@@ -9,6 +9,9 @@
  * are counted over the next 400 ms. The steady state must stay below
  * one allocation per 100 executed events, and no event closure may
  * fall back to the heap.
+ *
+ * The serving driver gets a budget per arrival: past its warm-up, an
+ * arrival reuses a retired request DAG instead of building one.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <new>
 
 #include "core/relief.hh"
+#include "serve/server.hh"
 
 namespace
 {
@@ -101,6 +105,43 @@ TEST(AllocBudgetTest, SteadyStateCdlReliefAllocatesAlmostNothing)
     EXPECT_LT(double(allocs), double(events) / 100.0)
         << allocs << " allocations over " << events << " events";
     EXPECT_EQ(soc.sim().events().numHeapCallables(), 0u);
+}
+
+TEST(AllocBudgetTest, ServingRecyclesRequestDagsPerArrival)
+{
+    ServeConfig config;
+    config.soc.policy = PolicyKind::Relief;
+    config.soc.fabric = FabricKind::Crossbar;
+    config.soc.bankedMemory = true;
+    config.arrival.kind = ArrivalKind::Bursty;
+    config.arrival.ratePerSec = 150.0;
+    config.admission.kind = AdmissionKind::Laxity;
+    config.horizon = fromMs(4000.0);
+    ServeDriver driver(config);
+
+    const Tick from = fromMs(1000.0);
+    const Tick to = fromMs(3900.0);
+    std::uint64_t allocs0 = 0;
+    std::uint64_t allocs1 = 0;
+    int probes = 0;
+    driver.soc().sim().at(from, [&] {
+        allocs0 = allocations.load();
+        ++probes;
+    });
+    driver.soc().sim().at(to, [&] {
+        allocs1 = allocations.load();
+        ++probes;
+    });
+    driver.run();
+
+    std::uint64_t arrivals = 0;
+    for (const ArrivalEvent &event : driver.schedule())
+        arrivals += event.time >= from && event.time < to;
+    ASSERT_GT(arrivals, 100u) << "the window must see steady arrivals";
+    ASSERT_EQ(probes, 2);
+    EXPECT_LT(double(allocs1 - allocs0), 20.0 * double(arrivals))
+        << (allocs1 - allocs0) << " allocations over " << arrivals
+        << " arrivals";
 }
 
 } // namespace

@@ -90,6 +90,35 @@ TEST(FunctionalPipelineTest, LstmMatchesKernelCell)
         ASSERT_NEAR(got[i], expected[i], 1e-5) << "element " << i;
 }
 
+TEST(FunctionalPipelineTest, RecycledRnnDagsMatchOnTheirSecondRun)
+{
+    // The serving driver's recycling path: a retired DAG is renumbered
+    // and resubmitted; its second run must compute the same result.
+    AppConfig app_config;
+    app_config.functional = true;
+    for (AppId app : {AppId::Gru, AppId::Lstm}) {
+        Soc soc(SocConfig{});
+        DagPtr dag = buildApp(app, app_config);
+        int runs = 0;
+        soc.manager().setDagRetiredHandler([&](Dag *retired) {
+            if (++runs > 1)
+                return;
+            retired->renumber();
+            soc.manager().submitDag(retired, soc.sim().now());
+        });
+        soc.submit(dag);
+        soc.run(fromMs(200.0));
+        ASSERT_EQ(runs, 2) << appName(app);
+        std::vector<float> expected = app == AppId::Gru
+                                          ? gruReferenceOutput(app_config)
+                                          : lstmReferenceOutput(app_config);
+        const auto &got = dag->leaves().front()->outputData;
+        ASSERT_EQ(got.size(), expected.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            ASSERT_NEAR(got[i], expected[i], 1e-5) << "element " << i;
+    }
+}
+
 TEST(FunctionalPipelineTest, ResultIndependentOfPolicy)
 {
     // Scheduling decides *when* and *where*, never *what*: every

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/soc.hh"
+#include "dag/apps/apps.hh"
 #include "dag/dag.hh"
 
 namespace relief
@@ -416,6 +419,51 @@ TEST(ManagerTest, MultiInstanceTypeRunsConcurrently)
     ASSERT_TRUE(dag->complete());
     EXPECT_LT(std::max(a->launchedAt, b->launchedAt),
               std::min(a->finishedAt, b->finishedAt));
+}
+
+TEST(ManagerTest, RetiredHandlerFiresOnceAfterTheFinalWriteBack)
+{
+    // Without latency modelling every ISR of a tick runs at that tick,
+    // so only sequence order puts the completing node's ISR last.
+    for (bool model_latency : {true, false}) {
+        SCOPED_TRACE(model_latency ? "latency modelled" : "no latency");
+        SocConfig config = quietConfig();
+        config.manager.modelSchedulingLatency = model_latency;
+        Soc soc(config);
+        std::vector<DagPtr> dags;
+        for (AppId app : parseMix("CDGHL"))
+            dags.push_back(buildApp(app, AppConfig{}));
+
+        std::map<const Dag *, int> completed;
+        std::map<const Dag *, int> retired;
+        // Leaves whose write-back was still pending at completion:
+        // at least the node that completed the DAG.
+        std::map<const Dag *, std::vector<const Node *>> pending;
+        soc.manager().setDagCompletionHandler([&](Dag *dag) {
+            ++completed[dag];
+            for (const Node *leaf : dag->leaves()) {
+                if (leaf->lifecycle.wbStart == 0)
+                    pending[dag].push_back(leaf);
+            }
+            EXPECT_FALSE(pending[dag].empty()) << dag->name();
+        });
+        soc.manager().setDagRetiredHandler([&](Dag *dag) {
+            EXPECT_EQ(completed[dag], 1) << dag->name();
+            ++retired[dag];
+            for (const Node *leaf : pending[dag]) {
+                EXPECT_NE(leaf->lifecycle.wbStart, 0u)
+                    << dag->name() << ": " << leaf->label;
+            }
+        });
+        for (const DagPtr &dag : dags)
+            soc.manager().submitDag(dag.get(), 0);
+        soc.run(fromMs(200.0));
+
+        for (const DagPtr &dag : dags) {
+            EXPECT_TRUE(dag->complete()) << dag->name();
+            EXPECT_EQ(retired[dag.get()], 1) << dag->name();
+        }
+    }
 }
 
 } // namespace

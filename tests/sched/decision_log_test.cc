@@ -294,6 +294,27 @@ TEST(DecisionLogLabelTest, ReusedNodeIdsKeepEachRecordsLabel)
     EXPECT_EQ(log.at(2).victim.data(), log.at(1).victim.data());
 }
 
+TEST(DecisionLogLabelTest, EqualLabelsShareOneCopyAcrossNodeIds)
+{
+    // Serving runs draw fresh node ids for every request: the table is
+    // keyed by label text, so repeats add no copy.
+    DecisionLog log;
+    PromotionDecision d;
+    d.node = 7;
+    d.label = "canny.sobel";
+    d.victimNode = 8;
+    d.victim = "canny.nms";
+    log.record(d);
+    d.node = 107;
+    d.victimNode = 108;
+    log.record(d);
+    ASSERT_EQ(log.size(), 2u);
+    EXPECT_NE(log.at(0).node, log.at(1).node);
+    EXPECT_EQ(log.at(1).label, "canny.sobel");
+    EXPECT_EQ(log.at(0).label.data(), log.at(1).label.data());
+    EXPECT_EQ(log.at(0).victim.data(), log.at(1).victim.data());
+}
+
 TEST(DecisionLogLabelTest, RecordCopiesNoCallerString)
 {
     DecisionLog log;

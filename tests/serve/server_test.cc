@@ -12,6 +12,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.hh"
@@ -168,8 +169,9 @@ TEST(ServeDriverTest, PressureRollupAttributesPerQosClass)
         EXPECT_EQ(report.pressure[i + 1].name, report.classes[i].name);
         tagged += report.pressure[i + 1].slot.bytes;
         // A class that completed work must have moved bytes.
-        if (report.classes[i].completed > 0)
+        if (report.classes[i].completed > 0) {
             EXPECT_GT(report.pressure[i + 1].slot.bytes, 0u) << i;
+        }
     }
     EXPECT_GT(tagged, 0u);
 
@@ -330,6 +332,33 @@ TEST(ServeDriverTest, ExpositionPublishesPeriodicSnapshots)
                      std::istreambuf_iterator<char>());
     EXPECT_NE(text.find("relief_serve_offered"), std::string::npos);
     std::remove(config.telemetry.exposition.path.c_str());
+}
+
+TEST(ServeDriverTest, OwnedDagsStayFlatInTheHorizon)
+{
+    // Recycling bounds the request DAGs a run owns by its peak
+    // concurrency: ten times the horizon must not mean ten times the
+    // DAGs. (Building one per arrival owned every admitted request's
+    // DAG; peak concurrency still grows a little with the horizon, as
+    // a longer bursty stream sees longer bursts.)
+    auto run = [](Tick horizon) {
+        ServeConfig config;
+        config.soc.policy = PolicyKind::Lax;
+        config.arrival.kind = ArrivalKind::Bursty;
+        config.arrival.ratePerSec = 150.0;
+        config.admission.kind = AdmissionKind::Laxity;
+        config.horizon = horizon;
+        ServeDriver driver(config);
+        ServeReport report = driver.run();
+        return std::make_pair(driver.ownedDags(), report.total.offered);
+    };
+    auto [short_owned, short_offered] = run(fromMs(2000.0));
+    auto [long_owned, long_offered] = run(fromMs(20000.0));
+    ASSERT_GT(long_offered, 5 * short_offered);
+    EXPECT_GT(short_owned, 0u);
+    EXPECT_LT(long_owned, long_offered / 50);
+    EXPECT_LT(long_owned, 4 * short_owned)
+        << short_owned << " DAGs at 2 s, " << long_owned << " at 20 s";
 }
 
 } // namespace
