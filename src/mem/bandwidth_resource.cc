@@ -11,6 +11,69 @@
 namespace relief
 {
 
+namespace
+{
+
+/// Reservations a tail keeps room for before its first regrowth;
+/// enough for every tier-1 mix, so the hot path never reallocates.
+constexpr std::size_t tailInitialCapacity = 64;
+
+} // namespace
+
+ReservationTail::ReservationTail() { entries_.reserve(tailInitialCapacity); }
+
+void
+ReservationTail::retire(Tick now)
+{
+    watermark_ = std::max(watermark_, now);
+    while (head_ < entries_.size() && entries_[head_].end <= watermark_) {
+        retiredBusy_ += entries_[head_].end - entries_[head_].start;
+        ++head_;
+    }
+    if (head_ == entries_.size()) {
+        entries_.clear();
+        head_ = 0;
+    }
+}
+
+void
+ReservationTail::push(Tick start, Tick end, std::int32_t key,
+                      bool coalesce)
+{
+    if (coalesce && size() > 0 && entries_.back().end == start) {
+        entries_.back().end = end;
+        return;
+    }
+    if (entries_.size() == entries_.capacity() && 2 * head_ >= size()) {
+        // Reclaim retired entries instead of growing: at least as many
+        // are retired as outstanding, so the move is amortized.
+        entries_.erase(entries_.begin(),
+                       entries_.begin() + std::ptrdiff_t(head_));
+        head_ = 0;
+    }
+    entries_.push_back({start, end, key});
+}
+
+Tick
+ReservationTail::busy(Tick upTo) const
+{
+    // [0, 0) is empty whatever the watermark: stats read before a run
+    // ends ask for it.
+    if (upTo == 0)
+        return 0;
+    RELIEF_ASSERT(upTo >= watermark_, "busy time queried up to ", upTo,
+                  ", below the retire watermark ", watermark_);
+    // Retired reservations end at or before the watermark, so they lie
+    // inside [0, upTo); outstanding ones are disjoint and sorted.
+    Tick total = retiredBusy_;
+    for (const Reservation &r : *this) {
+        if (r.start >= upTo)
+            break;
+        total += std::min(r.end, upTo) - r.start;
+    }
+    return total;
+}
+
 BandwidthResource::BandwidthResource(std::string name, double gbPerSec,
                                      Tick fixedLatency)
     : name_(std::move(name)), gbPerSec_(gbPerSec),
@@ -18,6 +81,17 @@ BandwidthResource::BandwidthResource(std::string name, double gbPerSec,
 {
     RELIEF_ASSERT(gbPerSec > 0.0, "resource ", name_,
                   " needs positive bandwidth");
+}
+
+void
+BandwidthResource::attachLedger(PressureLedger *ledger, int resource_id)
+{
+    // The ledger charges waits to per-reservation keys, which a tail
+    // coalesced before it attached would have lost.
+    RELIEF_ASSERT(numTransfers() == 0, "pressure ledger attached to ",
+                  name_, " after its first claim");
+    ledger_ = ledger;
+    ledgerId_ = resource_id;
 }
 
 Tick
@@ -47,14 +121,20 @@ BandwidthResource::claim(Tick earliest, std::uint64_t bytes,
     Tick hold = holdTime(bytes);
     Tick end = start + hold;
     nextFree_ = end;
-    // No later claim on this pipe starts before its request time.
-    busy_.retire(std::min(earliest, request_time));
-    busy_.add(start, end);
+    // No later claim on this pipe is requested before this one, so a
+    // reservation ending by then can delay nobody: retire it.
+    tail_.retire(std::min(earliest, request_time));
     totalBytes_.add(bytes);
     numTransfers_.add(1);
-    if (ledger_)
-        ledger_->record(ledgerId_, tag, request_time, pending, start,
-                        hold, bytes);
+    // The ledger walks the tail ahead of this claim and names its key;
+    // without one, only busy time is kept and back-to-back
+    // reservations coalesce.
+    std::int32_t key = 0;
+    if (ledger_) {
+        key = ledger_->record(ledgerId_, tag, request_time, pending, hold,
+                              bytes);
+    }
+    tail_.push(start, end, key, !ledger_);
     return start;
 }
 

@@ -14,6 +14,13 @@
  * This transaction-level model captures contention, occupancy, and
  * traffic volume — the quantities RELIEF's evaluation depends on —
  * without per-beat events.
+ *
+ * Claims are FIFO (each starts at or after the previous one's end), so
+ * a resource's reservations are sorted and disjoint. One reservation
+ * tail per resource serves both busy-time statistics and the pressure
+ * ledger: reservations that end at or before a claim's request time
+ * can no longer delay anyone, so they fold into a running busy sum and
+ * the tail holds only those still outstanding.
  */
 
 #ifndef RELIEF_MEM_BANDWIDTH_RESOURCE_HH
@@ -24,7 +31,6 @@
 #include <vector>
 
 #include "sim/ticks.hh"
-#include "stats/interval_union.hh"
 #include "stats/stats.hh"
 
 namespace relief
@@ -32,6 +38,57 @@ namespace relief
 
 class PressureLedger;
 struct RequestorTag;
+
+/** One granted reservation [start, end) of a resource. */
+struct Reservation
+{
+    Tick start = 0;
+    Tick end = 0;
+    std::int32_t key = 0; ///< Pressure-ledger key it is charged to.
+};
+
+/**
+ * A resource's reservations still outstanding at its retire watermark,
+ * oldest first, plus the busy time of those already retired. Stored as
+ * a vector with a head index; retired entries are reclaimed before the
+ * vector would otherwise grow.
+ */
+class ReservationTail
+{
+  public:
+    ReservationTail();
+
+    /**
+     * Declare that no later reservation is requested before @p now (a
+     * non-decreasing watermark; smaller values are ignored) and retire
+     * every reservation ending at or before it.
+     */
+    void retire(Tick now);
+
+    /** Append [start, end), which starts at or after the last end. With
+     *  @p coalesce, a reservation starting exactly where the last one
+     *  ends extends it instead of adding an entry. */
+    void push(Tick start, Tick end, std::int32_t key, bool coalesce);
+
+    /** Time covered by reservations, clipped to [0, upTo). Exact for
+     *  @p upTo at or after the watermark and for 0; panics below it. */
+    Tick busy(Tick upTo) const;
+
+    Tick watermark() const { return watermark_; }
+    /** Outstanding reservations. */
+    std::size_t size() const { return entries_.size() - head_; }
+    const Reservation *begin() const { return entries_.data() + head_; }
+    const Reservation *end() const
+    {
+        return entries_.data() + entries_.size();
+    }
+
+  private:
+    std::vector<Reservation> entries_;
+    std::size_t head_ = 0;
+    Tick watermark_ = 0;
+    Tick retiredBusy_ = 0;
+};
 
 class BandwidthResource
 {
@@ -84,23 +141,20 @@ class BandwidthResource
      */
     Tick waitTime() const { return waitTicks_; }
 
-    /** Hook this resource into @p ledger as resource @p resource_id. */
-    void
-    attachLedger(PressureLedger *ledger, int resource_id)
-    {
-        ledger_ = ledger;
-        ledgerId_ = resource_id;
-    }
+    /** Hook this resource into @p ledger as resource @p resource_id,
+     *  before its first claim. */
+    void attachLedger(PressureLedger *ledger, int resource_id);
 
     PressureLedger *ledger() const { return ledger_; }
     int ledgerId() const { return ledgerId_; }
 
-    /** Time covered by at least one reservation, clipped to [0, upTo). */
-    Tick busyTime(Tick upTo = maxTick) const { return busy_.covered(upTo); }
+    /** Time covered by at least one reservation, clipped to [0, upTo);
+     *  panics for a non-zero @p upTo below the retire watermark. */
+    Tick busyTime(Tick upTo = maxTick) const { return tail_.busy(upTo); }
 
-    /** The busy-interval tracker behind busyTime() (retired on every
-     *  claim, so its stored interval count stays bounded). */
-    const IntervalUnion &busyIntervals() const { return busy_; }
+    /** Reservations still outstanding at the last claim's request time
+     *  (retired on every claim, so the tail stays bounded). */
+    const ReservationTail &reservations() const { return tail_; }
 
     /** Fraction of [0, upTo) covered by reservations. */
     double occupancy(Tick upTo) const;
@@ -113,7 +167,7 @@ class BandwidthResource
     Counter totalBytes_;
     Counter numTransfers_;
     Tick waitTicks_ = 0;
-    IntervalUnion busy_;
+    ReservationTail tail_;
     PressureLedger *ledger_ = nullptr;
     int ledgerId_ = -1;
 };

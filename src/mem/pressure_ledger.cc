@@ -11,15 +11,6 @@
 namespace relief
 {
 
-namespace
-{
-
-/// Reservations a ring keeps room for before its first regrowth;
-/// enough for every tier-1 mix, so the hot path never reallocates.
-constexpr std::size_t ringInitialCapacity = 64;
-
-} // namespace
-
 const char *
 pressureTrafficName(PressureTraffic traffic)
 {
@@ -73,9 +64,6 @@ PressureLedger::seal()
     RELIEF_ASSERT(!sealed_, "pressure ledger sealed twice");
     numKeys_ = 1 + numSources() * numQosClasses() * numPressureTraffic;
     slots_.assign(std::size_t(numResources()) * numKeys_, Slot{});
-    rings_.resize(resources_.size());
-    for (Ring &ring : rings_)
-        ring.entries.reserve(ringInitialCapacity);
     sealed_ = true;
 }
 
@@ -147,25 +135,10 @@ PressureLedger::slot(int resource, int key) const
     return slots_.at(std::size_t(resource) * numKeys_ + key);
 }
 
-void
-PressureLedger::pushReservation(Ring &ring, Tick start, Tick end, int key)
-{
-    if (ring.entries.size() == ring.entries.capacity() && ring.head > 0) {
-        // Reclaim expired entries instead of growing; the backlog a
-        // resource can accumulate is bounded by in-flight transfers,
-        // so this keeps the ring at its initial capacity in practice.
-        ring.entries.erase(ring.entries.begin(),
-                           ring.entries.begin() +
-                               std::ptrdiff_t(ring.head));
-        ring.head = 0;
-    }
-    ring.entries.push_back({start, end, std::int32_t(key)});
-}
-
-void
+int
 PressureLedger::record(int resource, const RequestorTag &tag,
-                       Tick request_time, Tick pending, Tick start,
-                       Tick hold, std::uint64_t bytes)
+                       Tick request_time, Tick pending, Tick hold,
+                       std::uint64_t bytes)
 {
     RELIEF_ASSERT(sealed_, "pressure ledger recording before seal()");
     int key = keyFor(tag);
@@ -175,38 +148,30 @@ PressureLedger::record(int resource, const RequestorTag &tag,
     own.serviceTicks += hold;
     own.waitSuffered += pending;
 
-    Ring &ring = rings_[resource];
-    while (ring.head < ring.entries.size() &&
-           ring.entries[ring.head].end <= request_time) {
-        ++ring.head;
-    }
-
     if (pending > 0) {
         // Walk the wait interval [request_time, request_time+pending)
         // over the outstanding reservations, oldest first, charging
         // each segment to the reservation covering (or, across an
-        // idle gap, the next one holding) the pipe. The newest entry
-        // ends exactly where the wait does, so the whole interval is
-        // always attributed and caused == suffered per resource.
+        // idle gap, the next one holding) the pipe. The resource has
+        // retired only reservations ending by request_time, and the
+        // newest one ends exactly where the wait does, so the whole
+        // interval is attributed and caused == suffered per resource.
         Tick low = request_time;
         Tick wait_end = request_time + pending;
-        for (std::size_t i = ring.head;
-             i < ring.entries.size() && low < wait_end; ++i) {
-            const Reservation &res = ring.entries[i];
+        for (const Reservation &res : resources_[resource]->reservations()) {
+            if (low >= wait_end)
+                break;
             if (res.end <= low)
                 continue;
             Tick hi = std::min(res.end, wait_end);
             slotRef(resource, res.key).waitCaused += hi - low;
             low = hi;
         }
-        if (low < wait_end) {
-            // Ring was reset mid-backlog (stats reset); keep the
-            // books balanced by charging the untagged bucket.
-            slotRef(resource, 0).waitCaused += wait_end - low;
-        }
+        RELIEF_ASSERT(low == wait_end, "wait on ",
+                      resources_[resource]->name(),
+                      " outran its reservation tail");
     }
-
-    pushReservation(ring, start, start + hold, key);
+    return key;
 }
 
 PressureLedger::Slot
@@ -234,14 +199,13 @@ PressureLedger::qosTotal(int qos) const
 int
 PressureLedger::queueDepth(int resource, Tick now) const
 {
-    const Ring &ring = rings_.at(resource);
-    auto first = ring.entries.begin() + std::ptrdiff_t(ring.head);
+    const ReservationTail &tail = resources_.at(resource)->reservations();
     // Reservation ends are non-decreasing (FIFO pipe), so the count
     // of entries still outstanding at @p now is a binary search away.
-    auto it = std::upper_bound(
-        first, ring.entries.end(), now,
+    const Reservation *it = std::upper_bound(
+        tail.begin(), tail.end(), now,
         [](Tick t, const Reservation &r) { return t < r.end; });
-    return int(ring.entries.end() - it);
+    return int(tail.end() - it);
 }
 
 std::vector<PressureLedger::Contender>

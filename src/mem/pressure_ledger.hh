@@ -15,13 +15,14 @@
  * the resource is.
  *
  * Hot-path contract: once seal() has run, record() touches only
- * pre-sized slot arrays indexed by small integer ids plus a bounded
- * reservation ring per resource — no allocation, no hashing. The
- * reservation ring is what makes caused-delay attribution possible:
- * when a claim waits, the wait interval is walked over the
- * still-outstanding reservations ahead of it and each overlap is
- * charged to that reservation's key, so per resource the sum of
- * delay-caused always equals the sum of delay-suffered.
+ * pre-sized slot arrays indexed by small integer ids plus the
+ * resource's own reservation tail — no allocation, no hashing. The
+ * tail is what makes caused-delay attribution possible: when a claim
+ * waits, the wait interval is walked over the still-outstanding
+ * reservations ahead of it and each overlap is charged to that
+ * reservation's key. The newest of them ends exactly where the wait
+ * does, so per resource the sum of delay-caused always equals the sum
+ * of delay-suffered.
  */
 
 #ifndef RELIEF_MEM_PRESSURE_LEDGER_HH
@@ -112,14 +113,16 @@ class PressureLedger
 
     /**
      * Account one reservation on resource @p resource. Called by
-     * BandwidthResource::claim with @p pending = the queueing delay
-     * this claim suffered at that resource (how long the pipe's
-     * backlog pushed it past @p request_time), @p start/@p hold the
-     * granted reservation, and @p bytes its size. Zero-allocation
-     * once sealed, except for rare amortized ring growth.
+     * BandwidthResource::claim, before it appends the reservation to
+     * its tail, with @p pending = the queueing delay this claim
+     * suffered at that resource (how long the pipe's backlog pushed it
+     * past @p request_time), @p hold how long the granted reservation
+     * holds the pipe, and @p bytes its size. Zero-allocation once
+     * sealed.
+     * @return the key the reservation is charged to.
      */
-    void record(int resource, const RequestorTag &tag, Tick request_time,
-                Tick pending, Tick start, Tick hold, std::uint64_t bytes);
+    int record(int resource, const RequestorTag &tag, Tick request_time,
+               Tick pending, Tick hold, std::uint64_t bytes);
 
     // --- Accounting views ---
 
@@ -189,35 +192,12 @@ class PressureLedger
                    const Summary &summary, const char *schema) const;
 
   private:
-    struct Reservation
-    {
-        Tick start = 0;
-        Tick end = 0;
-        std::int32_t key = 0;
-    };
-
-    /**
-     * Outstanding reservations of one resource, oldest first. Stored
-     * as a vector with an explicit head: expired entries (end <=
-     * request time) are consumed by advancing head_ and reclaimed by
-     * compaction before the vector would otherwise grow.
-     */
-    struct Ring
-    {
-        std::vector<Reservation> entries;
-        std::size_t head = 0;
-
-        std::size_t size() const { return entries.size() - head; }
-    };
-
     Slot &slotRef(int resource, int key);
-    void pushReservation(Ring &ring, Tick start, Tick end, int key);
 
     std::vector<std::string> sources_;
     std::vector<std::string> qosClasses_;
     std::vector<BandwidthResource *> resources_;
     std::vector<Slot> slots_; ///< numResources x numKeys, row-major.
-    std::vector<Ring> rings_; ///< One per resource.
     int numKeys_ = 0;
     bool sealed_ = false;
 };

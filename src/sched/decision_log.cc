@@ -45,31 +45,87 @@ PromotionDecision::summary() const
 }
 
 void
-DecisionLog::record(PromotionDecision decision)
+DecisionLog::record(const PromotionDecision &decision)
 {
+    RELIEF_ASSERT(decision.queueDepth <= ~std::uint32_t(0),
+                  "ready-queue depth ", decision.queueDepth,
+                  " overflows a decision record");
+    std::size_t slot = size_ % chunkSize;
+    if (slot == 0 && size_ / chunkSize == chunks_.size()) {
+        // Left uninitialized: a record is written in full below before
+        // anything can read it, and untouched pages cost no memory.
+        chunks_.emplace_back(new Record[chunkSize]);
+    }
+    Record &r = chunks_[size_ / chunkSize][slot];
+    r.when = decision.when;
+    r.node = decision.node;
+    r.laxity = decision.laxity;
+    r.victimNode = decision.victimNode;
+    r.victimSlack = decision.victimSlack;
+    r.label = intern(decision.label);
+    r.victim = decision.victim.empty() ? noLabel : intern(decision.victim);
+    r.queueDepth = std::uint32_t(decision.queueDepth);
+    r.type = decision.type;
+    r.granted = decision.granted;
+    r.reason = std::uint8_t(decision.reason);
+    ++size_;
     if (decision.granted)
         ++granted_;
-    decision.label = intern(decision.label);
-    if (!decision.victim.empty())
-        decision.victim = intern(decision.victim);
-    decisions_.push_back(decision);
 }
 
-std::string_view
+std::uint32_t
 DecisionLog::intern(std::string_view label)
 {
+    // Fibonacci hash of the buffer address: labels live in nodes and
+    // DAG tables a few dozen bytes apart, so the low bits alone collide.
+    std::uint64_t addr = std::uint64_t(std::uintptr_t(label.data()));
+    CacheEntry &entry =
+        cache_[(addr * 0x9E3779B97F4A7C15ull) >> (64 - cacheBits)];
+    if (entry.data == label.data() && entry.length == label.size() &&
+        labelViews_[entry.id] == label) {
+        return entry.id;
+    }
+
+    std::uint32_t id;
     auto found = labelIndex_.find(label);
-    if (found != labelIndex_.end())
-        return *found;
-    return *labelIndex_.insert(labels_.emplace_back(label)).first;
+    if (found != labelIndex_.end()) {
+        id = found->second;
+    } else {
+        id = std::uint32_t(labelViews_.size());
+        RELIEF_ASSERT(id != noLabel, "decision label table is full");
+        std::string_view copy = labels_.emplace_back(label);
+        labelViews_.push_back(copy);
+        labelIndex_.emplace(copy, id);
+    }
+    entry = {label.data(), label.size(), id};
+    return id;
 }
 
-const PromotionDecision &
+PromotionDecision
+DecisionLog::materialize(std::size_t index) const
+{
+    const Record &r = chunks_[index / chunkSize][index % chunkSize];
+    PromotionDecision d;
+    d.when = r.when;
+    d.node = r.node;
+    d.label = labelViews_[r.label];
+    d.laxity = r.laxity;
+    d.queueDepth = r.queueDepth;
+    if (r.victim != noLabel)
+        d.victim = labelViews_[r.victim];
+    d.victimNode = r.victimNode;
+    d.victimSlack = r.victimSlack;
+    d.type = r.type;
+    d.granted = r.granted;
+    d.reason = PromotionReason(r.reason);
+    return d;
+}
+
+PromotionDecision
 DecisionLog::at(std::size_t index) const
 {
-    RELIEF_ASSERT(index < decisions_.size(),
-                  "decision index ", index, " out of range");
-    return decisions_[index];
+    RELIEF_ASSERT(index < size_, "decision index ", index, " out of range");
+    return materialize(index);
 }
 
 void
@@ -77,7 +133,7 @@ DecisionLog::writeJson(std::ostream &os) const
 {
     os << "[\n";
     bool first = true;
-    for (const PromotionDecision &d : decisions_) {
+    for (const PromotionDecision &d : decisions()) {
         if (!first)
             os << ",\n";
         first = false;
@@ -100,10 +156,13 @@ DecisionLog::writeJson(std::ostream &os) const
 void
 DecisionLog::clear()
 {
-    decisions_.clear();
+    chunks_.clear();
+    size_ = 0;
     granted_ = 0;
     labelIndex_.clear();
+    labelViews_.clear();
     labels_.clear();
+    cache_.assign(cacheSize, CacheEntry{});
 }
 
 } // namespace relief

@@ -7,9 +7,10 @@ Tick
 Simulator::run(Tick limit)
 {
     stopRequested_ = false;
-    while (!stopRequested_ && !events_.empty() &&
-           events_.nextTick() <= limit) {
-        events_.runOne();
+    // nextTick() is maxTick on an empty queue, so runOne() ends the
+    // loop there even when limit is maxTick.
+    while (!stopRequested_ && events_.nextTick() <= limit &&
+           events_.runOne()) {
     }
     return now();
 }

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "mem/bandwidth_resource.hh"
+#include "mem/pressure_ledger.hh"
 #include "sim/logging.hh"
 
 namespace relief
@@ -116,12 +120,78 @@ TEST(BandwidthResourceTest, BusyTrackerStaysBoundedOverManyClaims)
         res.claim(request, bytes);
         held += res.holdTime(bytes);
         peak_intervals =
-            std::max(peak_intervals, res.busyIntervals().numIntervals());
+            std::max(peak_intervals, res.reservations().size());
     }
     EXPECT_LT(peak_intervals, 130u);
     EXPECT_EQ(res.busyTime(), held);
-    EXPECT_EQ(res.busyIntervals().watermark(), request);
+    EXPECT_EQ(res.reservations().watermark(), request);
     EXPECT_EQ(res.numTransfers(), 120000u);
+}
+
+/** Covered time of [start, end) intervals clipped to [0, upTo), by
+ *  marking every tick. */
+Tick
+bruteForceUnion(const std::vector<std::pair<Tick, Tick>> &intervals,
+                Tick upTo)
+{
+    std::vector<bool> busy(std::size_t(upTo), false);
+    for (auto [start, end] : intervals) {
+        for (Tick t = start; t < std::min(end, upTo); ++t)
+            busy[std::size_t(t)] = true;
+    }
+    return Tick(std::count(busy.begin(), busy.end(), true));
+}
+
+/** Bursts of backlogged claims separated by idle gaps; after every
+ *  claim, busyTime is probed at points inside and past the
+ *  reservations still outstanding. */
+void
+checkBusyTimeAgainstBruteForce(BandwidthResource &res)
+{
+    std::mt19937_64 rng(5);
+    std::vector<std::pair<Tick, Tick>> held;
+    Tick request = 0;
+    for (int i = 0; i < 400; ++i) {
+        request += rng() % 4 == 0 ? Tick(rng() % 40) : 0;
+        std::uint64_t bytes = rng() % 12;
+        Tick start = res.claim(request, bytes);
+        held.emplace_back(start, start + res.holdTime(bytes));
+        ASSERT_EQ(res.reservations().watermark(), request);
+        Tick horizon = res.nextFree() + 5;
+        for (int probe = 0; probe < 4; ++probe) {
+            Tick upTo = request + Tick(rng() % (horizon - request + 1));
+            ASSERT_EQ(res.busyTime(upTo), bruteForceUnion(held, upTo))
+                << "claim " << i << ", upTo " << upTo;
+        }
+    }
+    EXPECT_GT(res.reservations().size(), 0u);
+    EXPECT_EQ(res.busyTime(0), 0u);
+    EXPECT_THROW(res.busyTime(request - 1), PanicError);
+}
+
+TEST(BandwidthResourceTest, BusyTimeInsideTheOpenTailMatchesBruteForce)
+{
+    // Without a ledger, back-to-back reservations coalesce.
+    BandwidthResource res("r", 1000.0, 3); // 1 B/tick
+    checkBusyTimeAgainstBruteForce(res);
+}
+
+TEST(BandwidthResourceTest, LedgerTailBusyTimeMatchesBruteForce)
+{
+    // With a ledger, every reservation keeps its own tail entry.
+    PressureLedger ledger;
+    BandwidthResource res("r", 1000.0, 3);
+    ledger.addResource(res);
+    ledger.seal();
+    checkBusyTimeAgainstBruteForce(res);
+}
+
+TEST(BandwidthResourceTest, LedgerAttachesOnlyBeforeTheFirstClaim)
+{
+    PressureLedger ledger;
+    BandwidthResource res("r", 1.0, 0);
+    res.claim(0, 10);
+    EXPECT_THROW(ledger.addResource(res), PanicError);
 }
 
 } // namespace

@@ -4,6 +4,8 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sched/relief.hh"
 #include "sim/logging.hh"
@@ -326,6 +328,148 @@ TEST(DecisionLogLabelTest, RecordCopiesNoCallerString)
     label = "overwritten-label";
     EXPECT_EQ(log.at(0).label, "transient-label");
     EXPECT_NE(log.at(0).label.data(), label.data());
+}
+
+/** A decision whose every field derives from @p i: labels cycle over
+ *  a few texts, laxity and slack go negative, and every third record
+ *  has no victim. */
+PromotionDecision
+syntheticDecision(std::size_t i, const std::vector<std::string> &labels)
+{
+    PromotionDecision d;
+    d.when = Tick(1000 + 7 * i);
+    d.node = NodeId(i) + (NodeId(1) << 40);
+    d.label = labels[i % labels.size()];
+    d.laxity = STick(i % 5) * 1000 - 2500;
+    d.queueDepth = i % 97;
+    d.type = AccType(i % std::size_t(numAccTypes));
+    d.reason = PromotionReason(i % 4);
+    d.granted = promotionGranted(d.reason);
+    if (i % 3 != 0) {
+        d.victim = labels[(i + 1) % labels.size()];
+        d.victimNode = NodeId(i) * 3;
+        d.victimSlack = -STick(i) * 11;
+    }
+    return d;
+}
+
+TEST(DecisionLogStorageTest, EveryFieldRoundTripsAcrossChunks)
+{
+    const std::vector<std::string> labels = {
+        "canny.sobel", "deblur.rl-iteration-long-label", "", "lstm.t3"};
+    const std::size_t count = 2 * DecisionLog::chunkSize + 37;
+    DecisionLog log;
+    std::uint64_t granted = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        PromotionDecision d = syntheticDecision(i, labels);
+        granted += d.granted;
+        log.record(d);
+    }
+    ASSERT_EQ(log.size(), count);
+    EXPECT_EQ(log.numGranted(), granted);
+    EXPECT_EQ(log.numDenied(), count - granted);
+
+    std::size_t i = 0;
+    for (const PromotionDecision &got : log.decisions()) {
+        PromotionDecision want = syntheticDecision(i, labels);
+        ASSERT_EQ(got.when, want.when) << i;
+        ASSERT_EQ(got.node, want.node) << i;
+        ASSERT_EQ(got.label, want.label) << i;
+        ASSERT_EQ(got.laxity, want.laxity) << i;
+        ASSERT_EQ(got.queueDepth, want.queueDepth) << i;
+        ASSERT_EQ(got.victim, want.victim) << i;
+        ASSERT_EQ(got.victimNode, want.victimNode) << i;
+        ASSERT_EQ(got.victimSlack, want.victimSlack) << i;
+        ASSERT_EQ(got.type, want.type) << i;
+        ASSERT_EQ(got.granted, want.granted) << i;
+        ASSERT_EQ(got.reason, want.reason) << i;
+        ASSERT_EQ(got.summary(), want.summary()) << i;
+        ++i;
+    }
+    EXPECT_EQ(i, count);
+    EXPECT_EQ(log.decisions().size(), count);
+    // Both sides of the first chunk boundary, through at().
+    EXPECT_EQ(log.at(DecisionLog::chunkSize - 1).summary(),
+              syntheticDecision(DecisionLog::chunkSize - 1, labels)
+                  .summary());
+    EXPECT_EQ(log.at(DecisionLog::chunkSize).summary(),
+              syntheticDecision(DecisionLog::chunkSize, labels).summary());
+    EXPECT_THROW(log.at(count), PanicError);
+}
+
+TEST(DecisionLogStorageTest, LabelRewrittenInPlaceInternsItsNewText)
+{
+    // A recycled node keeps its label buffer and overwrites it: the
+    // same address and length now hold different text.
+    DecisionLog log;
+    std::string buffer = "alpha.node-0001-with-heap-text";
+    const char *address = buffer.data();
+    PromotionDecision d;
+    d.label = buffer;
+    log.record(d);
+    buffer.replace(0, 5, "omega");
+    ASSERT_EQ(buffer.data(), address);
+    d.label = buffer;
+    d.victim = buffer;
+    log.record(d);
+    buffer.replace(0, 5, "alpha");
+    d.label = buffer;
+    d.victim = {};
+    log.record(d);
+
+    EXPECT_EQ(log.at(0).label, "alpha.node-0001-with-heap-text");
+    EXPECT_EQ(log.at(1).label, "omega.node-0001-with-heap-text");
+    EXPECT_EQ(log.at(1).victim, "omega.node-0001-with-heap-text");
+    EXPECT_EQ(log.at(2).label, "alpha.node-0001-with-heap-text");
+    EXPECT_TRUE(log.at(2).victim.empty());
+    // Equal text still shares one interned copy.
+    EXPECT_EQ(log.at(2).label.data(), log.at(0).label.data());
+    EXPECT_NE(log.at(1).label.data(), log.at(0).label.data());
+}
+
+TEST(DecisionLogStorageTest, DefaultLabelRecordsAsEmpty)
+{
+    // A default string_view has a null buffer: it must not match a
+    // cache slot that holds nothing yet, before or after clear().
+    DecisionLog log;
+    for (int round = 0; round < 2; ++round) {
+        PromotionDecision d;
+        d.node = 3;
+        log.record(d);
+        ASSERT_EQ(log.size(), 1u);
+        EXPECT_TRUE(log.at(0).label.empty());
+        EXPECT_EQ(log.at(0).node, 3u);
+        log.clear();
+    }
+}
+
+TEST(DecisionLogStorageTest, ClearResetsRecordsLabelsAndCache)
+{
+    const std::vector<std::string> labels = {"first", "second", "third"};
+    DecisionLog log;
+    for (std::size_t i = 0; i < DecisionLog::chunkSize + 5; ++i)
+        log.record(syntheticDecision(i, labels));
+    log.clear();
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(log.numGranted(), 0u);
+    EXPECT_EQ(log.decisions().begin(), log.decisions().end());
+    EXPECT_THROW(log.at(0), PanicError);
+
+    // The same buffers again, now in a fresh table: a cached id left
+    // over from before clear() would name a label that no longer
+    // exists.
+    for (std::size_t i = 0; i < 4; ++i)
+        log.record(syntheticDecision(i, labels));
+    ASSERT_EQ(log.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(log.at(i).summary(),
+                  syntheticDecision(i, labels).summary());
+    std::ostringstream os;
+    log.writeJson(os);
+    EXPECT_TRUE(test::miniJsonValid(os.str())) << os.str();
+    // Nothing recorded before clear() is exported.
+    EXPECT_EQ(os.str().find("\"tick\": 1028"), std::string::npos);
+    EXPECT_NE(os.str().find("\"tick\": 1021"), std::string::npos);
 }
 
 } // namespace
