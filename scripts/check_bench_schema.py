@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
-"""Validate a relief benchmark JSON document.
+"""Validate a relief JSON artifact.
 
-Dispatches on the document's "schema" field and validates both formats
-the benches emit:
+Dispatches on the document's "schema" field and validates the formats
+the tools and benches emit:
 
-  - relief-bench-v1  (tools/relief_bench, bench smoke)  — documented in
-    docs/observability.md
   - relief-serve-v1  (bench/serve_load_sweep, tools/relief_serve) —
     documented in docs/serving.md
   - relief-trace-v1  (relief_serve --trace-json: tail-sampled request
@@ -13,21 +11,18 @@ the benches emit:
   - relief-pressure-v1 (relief_sim --pressure-report: the memory-
     pressure attribution ledger) — documented in docs/observability.md
   - relief-hostprof-v1 (relief_sim --host-profile: host wall-time
-    attribution by category) — documented in docs/observability.md §11
+    attribution by category) — documented in docs/observability.md §10
   - relief-kernels-v1 (tools/relief_kernel_bench: per-kernel scalar
     vs SIMD throughput and bit-identity) — documented in
     docs/performance.md
 
-Schema family v6: relief-kernels-v1 is new (the SIMD kernel engine's
-microbenchmark document). v5 added the "build_info" provenance object
-(git sha, compiler, build type, flags) every top-level document
-carries, relief-bench-v1's "inject_spin_ns" and optional per-run
-"hostprof" objects, and relief-hostprof-v1.
+Every top-level document carries a "build_info" provenance object
+(git sha, compiler, build type, flags).
 
 Dependency-free (Python standard library only) so CI and developers can
 run it anywhere:
 
-    scripts/check_bench_schema.py BENCH_relief.json
+    scripts/check_bench_schema.py HOSTPROF_CDL.json
     scripts/check_bench_schema.py BENCH_serve.json
     scripts/check_bench_schema.py --self-test
 
@@ -42,21 +37,6 @@ import sys
 
 BUCKETS = ("queue_wait", "manager", "dma_in", "compute", "dma_out",
            "dep_stall", "total")
-
-RUN_FIELDS = {
-    "mix": str,
-    "policy": str,
-    "host_wall_s": (int, float),
-    "sim_ticks": int,
-    "sim_events": int,
-    "events_per_sec": (int, float),
-    "dags_finished": int,
-    "node_deadline_fraction": (int, float),
-    "dag_deadline_fraction": (int, float),
-    "critical_path_us": dict,
-}
-
-FRACTION_FIELDS = ("node_deadline_fraction", "dag_deadline_fraction")
 
 BUILD_INFO_FIELDS = ("git_sha", "compiler_id", "compiler_version",
                      "build_type", "cxx_flags")
@@ -95,17 +75,14 @@ def check_build_info(where, info, errors):
         errors.append("%s: unknown keys %s" % (where, sorted(extra)))
 
 
-def check_hostprof_body(where, hp, errors):
-    """Validate the category/counter body shared by standalone
-    relief-hostprof-v1 documents and per-run embedded "hostprof"
-    objects of a relief-bench-v1 document."""
+def check_hostprof(hp):
+    errors = []
+    where = "hostprof"
 
     def err(msg):
         errors.append(msg)
 
-    if not isinstance(hp, dict):
-        err("%s: expected an object" % where)
-        return
+    check_build_info("build_info", hp.get("build_info"), errors)
     for field in ("total_wall_ns", "attributed_wall_ns"):
         if not is_count(hp.get(field)):
             err("%s.%s: expected a non-negative integer, got %r"
@@ -118,11 +95,11 @@ def check_hostprof_body(where, hp, errors):
     cats = hp.get("categories")
     if not isinstance(cats, dict):
         err("%s.categories: expected an object" % where)
-        return
+        return errors
     if tuple(cats) != HOST_CATS:
         err("%s.categories: expected exactly %s in order, got %s"
             % (where, list(HOST_CATS), list(cats)))
-        return
+        return errors
     wall_sum = 0
     for name, cat in cats.items():
         cwhere = "%s.categories.%s" % (where, name)
@@ -160,81 +137,6 @@ def check_hostprof_body(where, hp, errors):
         if abs(coverage - expected) > COVERAGE_TOLERANCE:
             err("%s.coverage: %r inconsistent with "
                 "attributed/total (%r)" % (where, coverage, expected))
-
-
-def check_hostprof(doc):
-    errors = []
-    check_build_info("build_info", doc.get("build_info"), errors)
-    check_hostprof_body("hostprof", doc, errors)
-    return errors
-
-
-def check_bench(doc):
-    errors = []
-
-    def err(msg):
-        errors.append(msg)
-
-    check_build_info("build_info", doc.get("build_info"), errors)
-    if not isinstance(doc.get("limit_ms"), (int, float)) \
-            or doc.get("limit_ms") <= 0:
-        err("limit_ms: expected a positive number")
-    if not isinstance(doc.get("smoke"), bool):
-        err("smoke: expected a boolean")
-    if not is_count(doc.get("inject_spin_ns")):
-        err("inject_spin_ns: expected a non-negative integer, got %r"
-            % (doc.get("inject_spin_ns"),))
-    # "jobs" (worker threads used) arrived with the parallel runner;
-    # tolerate its absence so older documents stay valid.
-    if "jobs" in doc:
-        jobs = doc["jobs"]
-        if not is_count(jobs) or jobs < 1:
-            err("jobs: expected a positive integer, got %r" % (jobs,))
-
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        err("runs: expected a non-empty array")
-        return errors
-
-    for i, run in enumerate(runs):
-        where = "runs[%d]" % i
-        if not isinstance(run, dict):
-            err("%s: expected an object" % where)
-            continue
-        for field, kind in RUN_FIELDS.items():
-            value = run.get(field)
-            # bool is an int subclass; reject it for numeric fields.
-            if value is None or isinstance(value, bool) \
-                    or not isinstance(value, kind):
-                err("%s.%s: expected %s, got %r"
-                    % (where, field, kind, value))
-        for field in FRACTION_FIELDS:
-            value = run.get(field)
-            if is_number(value) and not 0.0 <= value <= 1.0:
-                err("%s.%s: %r outside [0, 1]" % (where, field, value))
-        for field in ("host_wall_s", "events_per_sec"):
-            value = run.get(field)
-            if is_number(value) and value < 0:
-                err("%s.%s: %r is negative" % (where, field, value))
-
-        if "hostprof" in run:
-            check_hostprof_body("%s.hostprof" % where, run["hostprof"],
-                                errors)
-
-        cp = run.get("critical_path_us")
-        if isinstance(cp, dict):
-            for bucket in BUCKETS:
-                value = cp.get(bucket)
-                if not is_number(value):
-                    err("%s.critical_path_us.%s: expected a number, "
-                        "got %r" % (where, bucket, value))
-                elif value < 0:
-                    err("%s.critical_path_us.%s: %r is negative"
-                        % (where, bucket, value))
-            extra = set(cp) - set(BUCKETS)
-            if extra:
-                err("%s.critical_path_us: unknown keys %s"
-                    % (where, sorted(extra)))
     return errors
 
 
@@ -832,7 +734,6 @@ def check_kernels(doc):
 
 
 CHECKERS = {
-    "relief-bench-v1": check_bench,
     "relief-serve-v1": check_serve,
     "relief-trace-v1": check_trace,
     "relief-pressure-v1": check_pressure,
@@ -871,7 +772,9 @@ def good_hostprof_category(wall_ns=0, events=0, heap_allocs=0):
             "heap_allocs": heap_allocs, "ns_hist": hist}
 
 
-GOOD_HOSTPROF_BODY = {
+GOOD_HOSTPROF = {
+    "schema": "relief-hostprof-v1",
+    "build_info": GOOD_BUILD_INFO,
     "total_wall_ns": 1000000,
     "attributed_wall_ns": 950000,
     "coverage": 0.95,
@@ -886,31 +789,6 @@ GOOD_HOSTPROF_BODY = {
         "stats": good_hostprof_category(wall_ns=40000, events=5),
         "serve": good_hostprof_category(),
     },
-}
-
-GOOD_HOSTPROF = dict(GOOD_HOSTPROF_BODY, schema="relief-hostprof-v1",
-                     build_info=GOOD_BUILD_INFO)
-
-GOOD_BENCH = {
-    "schema": "relief-bench-v1",
-    "build_info": GOOD_BUILD_INFO,
-    "limit_ms": 50.0,
-    "smoke": True,
-    "jobs": 2,
-    "inject_spin_ns": 0,
-    "runs": [{
-        "mix": "CDL",
-        "policy": "RELIEF",
-        "host_wall_s": 0.5,
-        "sim_ticks": 1000,
-        "sim_events": 200,
-        "events_per_sec": 400.0,
-        "dags_finished": 3,
-        "node_deadline_fraction": 0.9,
-        "dag_deadline_fraction": 1.0,
-        "critical_path_us": {bucket: 1.0 for bucket in BUCKETS},
-        "hostprof": GOOD_HOSTPROF_BODY,
-    }],
 }
 
 GOOD_SLO = {
@@ -1184,36 +1062,16 @@ def self_test():
         if not valid and not errors:
             failures.append("%s: expected a violation, got none" % label)
 
-    expect(GOOD_BENCH, True, "good bench doc")
     expect(GOOD_SERVE, True, "good serve doc")
     expect([], False, "non-object top level")
     expect({"schema": "relief-nope-v9", "runs": []}, False,
            "unknown schema")
 
-    expect(mutate(GOOD_BENCH, ["limit_ms"], -1), False,
-           "bench negative limit_ms")
-    expect(mutate(GOOD_BENCH, ["runs"], []), False, "bench empty runs")
-    expect(mutate(GOOD_BENCH, ["runs", 0, "dags_finished"], "three"),
-           False, "bench non-integer dags_finished")
-    expect(mutate(GOOD_BENCH, ["runs", 0, "node_deadline_fraction"], 1.5),
-           False, "bench fraction outside [0, 1]")
-    expect(mutate(GOOD_BENCH, ["runs", 0, "critical_path_us", "compute"],
-                  Ellipsis), False, "bench missing breakdown bucket")
-    expect(mutate(GOOD_BENCH, ["build_info"], Ellipsis), False,
-           "bench missing build_info")
-    expect(mutate(GOOD_BENCH, ["build_info", "git_sha"], ""), False,
-           "bench empty git sha")
-    expect(mutate(GOOD_BENCH, ["inject_spin_ns"], -5), False,
-           "bench negative inject_spin_ns")
-    expect(mutate(GOOD_BENCH, ["runs", 0, "hostprof"], Ellipsis), True,
-           "bench run without hostprof (not --host-profile)")
-    expect(mutate(GOOD_BENCH,
-                  ["runs", 0, "hostprof", "coverage"], 1.2),
-           False, "bench embedded hostprof coverage outside [0, 1]")
-
     expect(GOOD_HOSTPROF, True, "good hostprof doc")
     expect(mutate(GOOD_HOSTPROF, ["build_info"], Ellipsis), False,
            "hostprof missing build_info")
+    expect(mutate(GOOD_HOSTPROF, ["build_info", "git_sha"], ""), False,
+           "hostprof empty git sha")
     expect(mutate(GOOD_HOSTPROF, ["coverage"], -0.1), False,
            "hostprof coverage below zero")
     expect(mutate(GOOD_HOSTPROF, ["attributed_wall_ns"], 900000),

@@ -1,20 +1,16 @@
 #!/usr/bin/env bash
-# Run the relief_bench harness, validate the BENCH JSON it writes, and
-# record a Perfetto trace (spans + counters + dependency-edge flow
-# arrows) of a representative run alongside it.
+# Record and schema-check the simulator's JSON artifacts for one
+# representative run: a Perfetto trace (spans + counters + dependency-
+# edge flow arrows), the memory-pressure ledger and the host-time
+# profile. Host throughput is measured by relbench (relbench/README.md),
+# not here.
 #
-# Usage: scripts/run_bench.sh [--smoke] [--jobs N] [--kernels]
-#                              [build-dir] [out-dir]
+# Usage: scripts/run_bench.sh [--smoke] [--kernels] [build-dir] [out-dir]
 #
-# --smoke runs the tiny CI matrix (one mix, two policies, 5 ms) so the
-# whole job stays under a minute; without it the full default matrix
-# runs. --jobs N executes the matrix points on N worker threads
-# (results are identical for any N; see docs/performance.md).
 # --kernels additionally runs the SIMD kernel microbenchmark
 # (tools/relief_kernel_bench) and schema-checks + self-diffs its
-# document. Outputs land in out-dir (default bench-results/):
-#   BENCH_relief.json     relief-bench-v1 document (schema-checked),
-#                         with per-cell host-time attribution embedded
+# document; --smoke runs it at its CI size. Outputs land in out-dir
+# (default bench-results/):
 #   trace_CDL.json        Chrome/Perfetto trace of a CDL run
 #   PRESSURE_relief.json  relief-pressure-v1 attribution ledger dump
 #                         of the traced run (schema-checked)
@@ -29,12 +25,10 @@
 set -euo pipefail
 
 SMOKE=0
-JOBS=1
 KERNELS=0
 while :; do
     case "${1:-}" in
         --smoke) SMOKE=1; shift ;;
-        --jobs) JOBS="${2:?--jobs needs a value}"; shift 2 ;;
         --kernels) KERNELS=1; shift ;;
         *) break ;;
     esac
@@ -44,7 +38,7 @@ BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-bench-results}"
 SCRIPT_DIR="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
 
-for tool in relief_bench relief_sim relief_compare; do
+for tool in relief_sim relief_compare; do
     if [ ! -x "$BUILD_DIR/tools/$tool" ]; then
         echo "error: $BUILD_DIR/tools/$tool not found; build first:" >&2
         echo "  cmake -B $BUILD_DIR && cmake --build $BUILD_DIR -j" >&2
@@ -60,27 +54,11 @@ if [ ! -f "$CHECKER" ]; then
 fi
 
 mkdir -p "$OUT_DIR"
-BENCH_JSON="$OUT_DIR/BENCH_relief.json"
 
-if [ "$SMOKE" = 1 ]; then
-    "$BUILD_DIR/tools/relief_bench" --smoke --jobs "$JOBS" \
-        --host-profile --out "$BENCH_JSON"
-else
-    "$BUILD_DIR/tools/relief_bench" --jobs "$JOBS" --host-profile \
-        --out "$BENCH_JSON"
-fi
-
-python3 "$CHECKER" "$BENCH_JSON"
-
-# Self-consistency gate: a document must never breach against itself.
-# A non-zero exit (relief_compare exits 2 on breaches) aborts the run.
-"$BUILD_DIR/tools/relief_compare" --diff "$BENCH_JSON" "$BENCH_JSON" \
-    > /dev/null
-
-# A representative trace for the artifact: CDL under RELIEF exercises
-# forwarding, so the flow arrows carry all three edge categories. The
-# same run dumps the memory-pressure attribution ledger, with the
-# per-bank utilization and queue-depth counter tracks in the trace.
+# CDL under RELIEF exercises forwarding, so the flow arrows carry all
+# three edge categories. The same run dumps the memory-pressure
+# attribution ledger, with the per-bank utilization and queue-depth
+# counter tracks in the trace.
 "$BUILD_DIR/tools/relief_sim" --mix CDL --policy RELIEF \
     --banked-memory --pressure-tracks \
     --trace "$OUT_DIR/trace_CDL.json" \
@@ -108,5 +86,5 @@ if [ "$KERNELS" = 1 ]; then
         "$KERNELS_JSON" > /dev/null
 fi
 
-echo "bench outputs in $OUT_DIR/ (BENCH_relief.json," \
-     "PRESSURE_relief.json, HOSTPROF_CDL.json schema-valid)"
+echo "bench outputs in $OUT_DIR/ (PRESSURE_relief.json," \
+     "HOSTPROF_CDL.json schema-valid)"

@@ -1,5 +1,9 @@
 #include "core/cli.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -30,6 +34,38 @@ accTypeFromSymbol(const std::string &symbol)
             return type;
     fatal("unknown accelerator symbol '", symbol, "' (use I, G, C, EM, "
           "CNM, HNM, or ET)");
+}
+
+double
+parseNumberFlag(const std::string &flag, const std::string &text)
+{
+    // strtod skips leading blanks and stops at the first character it
+    // cannot use; the whole text must be the number.
+    char *end = nullptr;
+    errno = 0;
+    double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+        end != text.c_str() + text.size() || errno == ERANGE ||
+        !std::isfinite(value))
+        fatal(flag, " needs a number, got '", text, "'");
+    return value;
+}
+
+std::uint64_t
+parseCountFlag(const std::string &flag, const std::string &text,
+               std::uint64_t max)
+{
+    // strtoull would also accept blanks and a sign (negating modulo
+    // 2^64), so the text must start with a digit.
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        end != text.c_str() + text.size() || errno == ERANGE ||
+        value > max)
+        fatal(flag, " needs a whole number in [0, ", max, "], got '",
+              text, "'");
+    return value;
 }
 
 std::string
@@ -64,10 +100,12 @@ parseInstances(const std::string &spec, SocConfig &config)
         if (eq == std::string::npos)
             fatal("bad --instances item '", item, "' (want SYMBOL=N)");
         AccType type = accTypeFromSymbol(item.substr(0, eq));
-        int count = std::atoi(item.c_str() + eq + 1);
+        std::uint64_t count =
+            parseCountFlag("--instances " + item.substr(0, eq),
+                           item.substr(eq + 1), INT_MAX);
         if (count < 1)
             fatal("bad instance count in '", item, "'");
-        config.instances[accIndex(type)] = count;
+        config.instances[accIndex(type)] = int(count);
         pos = comma + 1;
     }
 }
@@ -134,7 +172,7 @@ parseCliOptions(const std::vector<std::string> &raw_args)
         } else if (arg == "--continuous") {
             config.continuous = true;
         } else if (arg == "--limit-ms") {
-            double ms = std::atof(need_value(i).c_str());
+            double ms = parseNumberFlag(arg, need_value(i));
             if (ms <= 0.0)
                 fatal("--limit-ms needs a positive value");
             config.timeLimit = fromMs(ms);
@@ -157,7 +195,7 @@ parseCliOptions(const std::vector<std::string> &raw_args)
         } else if (arg == "--banked-memory") {
             config.soc.bankedMemory = true;
         } else if (arg == "--mem-efficiency") {
-            double eff = std::atof(need_value(i).c_str());
+            double eff = parseNumberFlag(arg, need_value(i));
             if (eff <= 0.0 || eff > 1.0)
                 fatal("--mem-efficiency must be in (0, 1]");
             config.soc.mem.efficiency = eff;
@@ -185,22 +223,19 @@ parseCliOptions(const std::vector<std::string> &raw_args)
                 fatal("unknown data-movement predictor '", value, "'");
             ++i;
         } else if (arg == "--submit-latency-us") {
-            double us = std::atof(need_value(i).c_str());
+            double us = parseNumberFlag(arg, need_value(i));
             if (us < 0.0)
                 fatal("--submit-latency-us must be non-negative");
             config.soc.manager.submitLatency = fromUs(us);
             ++i;
         } else if (arg == "--dma-burst") {
-            long n = std::atol(need_value(i).c_str());
-            if (n < 0)
-                fatal("--dma-burst needs a non-negative byte count");
-            config.soc.dma.burstBytes = std::uint64_t(n);
+            config.soc.dma.burstBytes = parseCountFlag(arg, need_value(i));
             ++i;
         } else if (arg == "--spm-partitions") {
-            int n = std::atoi(need_value(i).c_str());
+            std::uint64_t n = parseCountFlag(arg, need_value(i), INT_MAX);
             if (n < 1)
                 fatal("--spm-partitions needs a positive count");
-            config.soc.spmPartitions = n;
+            config.soc.spmPartitions = int(n);
             ++i;
         } else if (arg == "--no-feasibility") {
             config.soc.reliefFeasibilityCheck = false;
@@ -213,7 +248,7 @@ parseCliOptions(const std::vector<std::string> &raw_args)
             config.app.functional = true;
         } else if (arg == "--seed") {
             config.app.seed = std::uint32_t(
-                std::strtoul(need_value(i).c_str(), nullptr, 10));
+                parseCountFlag(arg, need_value(i), UINT32_MAX));
             ++i;
         } else if (arg == "--kernel-isa") {
             // Applied immediately, like --debug-flags: the kernel ISA

@@ -39,6 +39,7 @@
 #ifndef RELIEF_CORE_CLI_HH
 #define RELIEF_CORE_CLI_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,19 @@ PolicyKind policyFromName(const std::string &name);
 
 /** Resolve an accelerator-type symbol (Table I: "EM", "C", ...). */
 AccType accTypeFromSymbol(const std::string &symbol);
+
+/**
+ * Parse all of @p text as a finite number for @p flag. Empty text,
+ * leading whitespace, trailing characters, NaN/Inf and out-of-range
+ * values are fatal, with a message naming @p flag.
+ */
+double parseNumberFlag(const std::string &flag, const std::string &text);
+
+/** Like parseNumberFlag, for a non-negative decimal integer that must
+ *  not exceed @p max (a leading sign is rejected). */
+std::uint64_t parseCountFlag(const std::string &flag,
+                             const std::string &text,
+                             std::uint64_t max = UINT64_MAX);
 
 /** One-line usage summary for error messages. */
 std::string cliUsage();

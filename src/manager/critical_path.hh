@@ -26,8 +26,8 @@
  * The six buckets partition [arrival, finish] exactly: their sum
  * equals the measured end-to-end DAG latency (asserted in tests to
  * within one tick on every tier-1 workload). Per-DAG records feed the
- * `--latency-breakdown` table, RunMetrics histograms, the
- * relief-stats-v1 JSON export, and BENCH_relief.json.
+ * `--latency-breakdown` table, RunMetrics histograms, and the
+ * relief-stats-v1 JSON export.
  */
 
 #ifndef RELIEF_MANAGER_CRITICAL_PATH_HH

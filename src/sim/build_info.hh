@@ -2,17 +2,16 @@
  * @file
  * Build provenance stamped into every emitted JSON artifact.
  *
- * Perf-trajectory tooling (scripts/bench_history.py, relief_compare)
- * can only attribute a throughput change to a code change if each
- * document records what produced it. CMake captures the git sha at
- * configure time plus the compiler identity, build type, and flags,
- * and passes them as compile definitions; every artifact writer
- * (stats, bench, serve, trace, pressure, hostprof) embeds the result
- * as a `build_info` object, which scripts/check_bench_schema.py
- * (schema v5) requires.
+ * Comparing two documents (relief_compare --diff) only attributes a
+ * change to the code if each document records what produced it. CMake
+ * captures the git sha at configure time plus the compiler identity,
+ * build type, and flags, and passes them as compile definitions;
+ * every artifact writer (stats, serve, trace, pressure, hostprof,
+ * kernels) embeds the result as a `build_info` object, which
+ * scripts/check_bench_schema.py requires.
  *
  * The sha is refreshed on reconfigure, not on every commit — close
- * enough for trajectory attribution, and free at build time.
+ * enough for attribution, and free at build time.
  */
 
 #ifndef RELIEF_SIM_BUILD_INFO_HH

@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <chrono>
 
 namespace relief
 {
@@ -175,29 +174,13 @@ EventQueue::runOne()
         slot.action.invoke();
         slot.action.reset();
         freeSlot(entry.slot);
-        if (dispatchSpinNs_ != 0)
-            spinDispatch();
         hostProfExitEvent(cat, t0);
     } else {
         slot.action.invoke();
         slot.action.reset();
         freeSlot(entry.slot);
-        if (dispatchSpinNs_ != 0)
-            spinDispatch();
     }
     return true;
-}
-
-void
-EventQueue::spinDispatch() const
-{
-    // Deliberately burns host time (CI slowdown injection); steady
-    // clock so the waste is honest wall time, not simulated.
-    const auto start = std::chrono::steady_clock::now();
-    const auto until = start + std::chrono::nanoseconds(dispatchSpinNs_);
-    while (std::chrono::steady_clock::now() < until) {
-        // spin
-    }
 }
 
 } // namespace relief

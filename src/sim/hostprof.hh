@@ -172,14 +172,9 @@ struct HostProfSnapshot
      *  Wall times and counts add; coverage re-derives. */
     void merge(const HostProfSnapshot &other);
 
-    /**
-     * Emit this snapshot as JSON. With @p standalone true, writes a
-     * full `relief-hostprof-v1` document (schema + build_info);
-     * otherwise writes just the profile object for embedding (e.g.
-     * per-cell inside relief-bench-v1). @p indent is the number of
-     * leading spaces on each line.
-     */
-    void writeJson(std::ostream &os, bool standalone, int indent = 0) const;
+    /** Emit this snapshot as a `relief-hostprof-v1` document (schema,
+     *  build_info, then the profile), without a trailing newline. */
+    void writeJson(std::ostream &os) const;
 };
 
 /** Snapshot the calling thread's profile (zeroes if never enabled).

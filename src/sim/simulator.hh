@@ -67,9 +67,6 @@ class Simulator
     /** Direct access to the queue (tests, stats). */
     const EventQueue &events() const { return events_; }
 
-    /** Mutable queue access (dispatch-spin injection, tests). */
-    EventQueue &events() { return events_; }
-
   private:
     EventQueue events_;
     bool stopRequested_ = false;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "core/cli.hh"
 #include "kernels/simd/simd.hh"
@@ -211,6 +214,56 @@ TEST(CliTest, UnknownDebugFlagIsFatal)
     EXPECT_THROW(parseCliOptions({"--debug-flags", "Sched,Typo"}),
                  FatalError);
     clearDebugFlags();
+}
+
+TEST(CliTest, NumericFlagsMustBeWholeNumbers)
+{
+    // Each of these used to parse a prefix (or nothing) and run.
+    for (std::vector<std::string> args :
+         {std::vector<std::string>{"--seed", "abc"},
+          {"--seed", "7x"},
+          {"--seed", "-1"},
+          {"--seed", "4294967296"},
+          {"--seed", ""},
+          {"--limit-ms", "5abc"},
+          {"--limit-ms", " 5"},
+          {"--limit-ms", "nan"},
+          {"--limit-ms", "inf"},
+          {"--mem-efficiency", "0.5x"},
+          {"--submit-latency-us", "1e"},
+          {"--dma-burst", "4k"},
+          {"--spm-partitions", "2.5"},
+          {"--instances", "EM=2x"},
+          {"--instances", "EM=-1"}})
+        EXPECT_THROW(parseCliOptions(args), FatalError)
+            << args[0] << " '" << args[1] << "'";
+
+    auto config = parseCliOptions({"--seed", "4294967295", "--limit-ms",
+                                   "1e1", "--dma-burst", "0"});
+    EXPECT_EQ(config.app.seed, 4294967295u);
+    EXPECT_EQ(config.timeLimit, fromMs(10.0));
+    EXPECT_EQ(config.soc.dma.burstBytes, 0u);
+}
+
+TEST(CliTest, NumberParsersNameTheFlag)
+{
+    EXPECT_DOUBLE_EQ(parseNumberFlag("--x", "-2.5"), -2.5);
+    EXPECT_EQ(parseCountFlag("--n", "18446744073709551615"),
+              UINT64_MAX);
+    EXPECT_THROW(parseCountFlag("--n", "18446744073709551616"),
+                 FatalError);
+    EXPECT_THROW(parseCountFlag("--n", "+3"), FatalError);
+    EXPECT_THROW(parseCountFlag("--n", "4", 3), FatalError);
+    EXPECT_THROW(parseNumberFlag("--x", "1e999"), FatalError);
+    try {
+        parseNumberFlag("--max-rel-delta", "abc");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find("--max-rel-delta"),
+                  std::string::npos);
+        EXPECT_NE(std::string(err.what()).find("'abc'"),
+                  std::string::npos);
+    }
 }
 
 TEST(CliTest, ParsedConfigActuallyRuns)

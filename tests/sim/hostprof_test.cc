@@ -53,7 +53,7 @@ TEST(HostProfTest, DisabledByDefaultAndTogglable)
 
 TEST(HostProfTest, CategoryNamesAreStable)
 {
-    // The JSON schema and docs/observability.md §11 both spell these
+    // The JSON schema and docs/observability.md §10 both spell these
     // out; a rename is a schema break.
     EXPECT_STREQ(hostCatName(HostCat::Other), "other");
     EXPECT_STREQ(hostCatName(HostCat::Sched), "sched");
@@ -238,7 +238,7 @@ TEST(HostProfTest, WriteJsonEmitsEveryCategory)
     snap.totalWallNs = 1000;
     snap.cats[0].wallNs = 1000;
     std::ostringstream os;
-    snap.writeJson(os, /*standalone=*/false);
+    snap.writeJson(os);
     std::string doc = os.str();
     for (std::size_t i = 0; i < numHostCats; ++i) {
         std::string key =
@@ -247,8 +247,9 @@ TEST(HostProfTest, WriteJsonEmitsEveryCategory)
         EXPECT_NE(doc.find(key), std::string::npos) << key;
     }
     EXPECT_NE(doc.find("\"coverage\""), std::string::npos);
-    // Embedded form: no schema / build_info header.
-    EXPECT_EQ(doc.find("\"schema\""), std::string::npos);
+    EXPECT_NE(doc.find("\"schema\": \"relief-hostprof-v1\""),
+              std::string::npos);
+    EXPECT_NE(doc.find("\"build_info\""), std::string::npos);
 }
 
 TEST(HostProfTest, EventQueueChargesTaggedCategory)
@@ -271,22 +272,6 @@ TEST(HostProfTest, EventQueueChargesTaggedCategory)
     EXPECT_EQ(
         snap.cats[static_cast<std::size_t>(HostCat::Other)].events, 1u);
     EXPECT_GE(catWall(snap, HostCat::Dma), 30000u);
-}
-
-TEST(HostProfTest, DispatchSpinSlowsTaggedEvents)
-{
-    // The CI perf gate injects a busy-wait into dispatch; it must
-    // land inside the measured event span so the hostprof books (and
-    // the ns/event histogram) see the slowdown honestly.
-    ProfSession session;
-    EventQueue queue;
-    queue.setDispatchSpin(100000);
-    queue.schedule(1, HostCat::Mem, [] {});
-    while (queue.runOne()) {
-    }
-    setHostProfEnabled(false);
-    HostProfSnapshot snap = hostProfSnapshot();
-    EXPECT_GE(catWall(snap, HostCat::Mem), 80000u);
 }
 
 } // namespace

@@ -29,23 +29,18 @@
  * for "this change moved memory pressure". Values where both sides
  * sit below --abs-floor are skipped as noise.
  *
- * relief-bench-v1, relief-hostprof-v1, and relief-kernels-v1
- * documents diff with a noise
- * model for wall-clock metrics: each --diff side may be a
+ * relief-hostprof-v1 and relief-kernels-v1 documents diff with a
+ * noise model for wall-clock metrics: each --diff side may be a
  * comma-separated list of repeat files (same binary, same flags), and
  * every metric is the per-field median across the repeats. Host-time
- * metrics (events_per_sec, ns/event, coverage) use the looser
- * --time-rel-delta threshold (default 25%) with per-metric absolute
- * floors; deterministic metrics (sim ticks/events, deadline
- * fractions, critical-path buckets) keep the strict threshold. The
- * CI perf gate runs this twice: repeats of the same binary must exit
- * 0, and a run with an injected per-event slowdown
- * (relief_bench --inject-spin-ns) must exit 2.
+ * metrics (ns/event, coverage, kernel throughput and speedup) use the
+ * looser --time-rel-delta threshold (default 25%) with per-metric
+ * absolute floors; deterministic metrics (event and heap-callable
+ * counts, kernel bit-identity) keep the strict threshold.
  */
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <fstream>
 #include <iostream>
@@ -251,7 +246,7 @@ diffQuantiles(DiffReport &diff, const JsonValue &a, const JsonValue &b)
 }
 
 /**
- * One comparable metric extracted from a bench/hostprof document.
+ * One comparable metric extracted from a hostprof/kernels document.
  * timeLike metrics are host wall-clock (noisy across runs) and diff
  * under --time-rel-delta with a per-metric absolute floor;
  * deterministic metrics keep the strict --max-rel-delta.
@@ -267,32 +262,29 @@ using MetricMap = std::map<std::string, Metric>;
 
 /** Per-metric absolute floors for the wall-clock fields. Values where
  *  both sides sit below the floor are run-to-run scheduling noise. */
-constexpr double floorHostWallS = 1e-3;    // sub-ms cells: pure noise
-constexpr double floorEventsPerSec = 1e4;
 constexpr double floorWallNs = 1e5;        // < 0.1 ms of host time
 constexpr double floorNsPerEvent = 25.0;   // clock-granularity noise
 constexpr double floorCoverage = 0.05;
 constexpr double floorThroughput = 1.0;    // < 1 M units/s: noise
 constexpr double floorSpeedup = 0.25;
 
-/** Flatten one hostprof profile object under @p prefix. */
+/** Flatten a relief-hostprof-v1 document. */
 void
-flattenHostProf(const JsonValue &hp, const std::string &prefix,
-                MetricMap &out)
+flattenHostProf(const JsonValue &hp, MetricMap &out)
 {
-    out[prefix + "total_wall_ns"] =
+    out["total_wall_ns"] =
         {hp.at("total_wall_ns").asNumber(), true, floorWallNs};
-    out[prefix + "coverage"] =
+    out["coverage"] =
         {hp.at("coverage").asNumber(), true, floorCoverage};
     const JsonValue &cats = hp.at("categories");
     for (const std::string &cat : cats.keys()) {
         const JsonValue &c = cats.at(cat);
         double events = c.at("events").asNumber();
-        out[prefix + cat + ".events"] = {events, false, -1.0};
-        out[prefix + cat + ".heap_allocs"] =
+        out[cat + ".events"] = {events, false, -1.0};
+        out[cat + ".heap_allocs"] =
             {c.at("heap_allocs").asNumber(), false, -1.0};
         if (events > 0.0) {
-            out[prefix + cat + ".ns_per_event"] =
+            out[cat + ".ns_per_event"] =
                 {c.at("wall_ns").asNumber() / events, true,
                  floorNsPerEvent};
         }
@@ -321,44 +313,15 @@ flattenKernels(const JsonValue &doc, MetricMap &out)
         {doc.at("geomean_speedup").asNumber(), true, floorSpeedup};
 }
 
-/** Flatten a relief-hostprof-v1, relief-bench-v1, or
- *  relief-kernels-v1 document. */
+/** Flatten a relief-hostprof-v1 or relief-kernels-v1 document. */
 MetricMap
 flattenDoc(const JsonValue &doc, const std::string &schema)
 {
     MetricMap out;
-    if (schema == "relief-hostprof-v1") {
-        flattenHostProf(doc, "", out);
-        return out;
-    }
-    if (schema == "relief-kernels-v1") {
+    if (schema == "relief-hostprof-v1")
+        flattenHostProf(doc, out);
+    else
         flattenKernels(doc, out);
-        return out;
-    }
-    const JsonValue &runs = doc.at("runs");
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const JsonValue &run = runs.at(i);
-        std::string key = run.at("mix").asString() + "/" +
-                          run.at("policy").asString() + ".";
-        out[key + "host_wall_s"] =
-            {run.at("host_wall_s").asNumber(), true, floorHostWallS};
-        out[key + "events_per_sec"] =
-            {run.at("events_per_sec").asNumber(), true,
-             floorEventsPerSec};
-        for (const char *field :
-             {"sim_ticks", "sim_events", "dags_finished",
-              "node_deadline_fraction", "dag_deadline_fraction"}) {
-            if (const JsonValue *v = run.find(field))
-                out[key + field] = {v->asNumber(), false, -1.0};
-        }
-        if (const JsonValue *cp = run.find("critical_path_us")) {
-            for (const std::string &bucket : cp->keys())
-                out[key + "critical_path_us." + bucket] =
-                    {cp->at(bucket).asNumber(), false, -1.0};
-        }
-        if (const JsonValue *hp = run.find("hostprof"))
-            flattenHostProf(*hp, key + "hostprof.", out);
-    }
     return out;
 }
 
@@ -395,7 +358,7 @@ docSchema(const JsonValue &doc)
     return schema && schema->isString() ? schema->asString() : "";
 }
 
-/** Noise-aware diff of bench/hostprof repeat sets. */
+/** Noise-aware diff of hostprof/kernels repeat sets. */
 void
 diffMetricMaps(DiffReport &diff, const std::vector<JsonValue> &as,
                const std::vector<JsonValue> &bs,
@@ -463,14 +426,13 @@ runDiff(const std::string &list_a, const std::string &list_b,
         }
     }
 
-    if (schema == "relief-bench-v1" || schema == "relief-hostprof-v1" ||
-        schema == "relief-kernels-v1") {
+    if (schema == "relief-hostprof-v1" || schema == "relief-kernels-v1") {
         diffMetricMaps(diff, as, bs, schema);
     } else {
         if (as.size() > 1 || bs.size() > 1) {
             std::cerr << "repeat lists are only supported for "
-                         "relief-bench-v1 / relief-hostprof-v1 / "
-                         "relief-kernels-v1 documents\n";
+                         "relief-hostprof-v1 / relief-kernels-v1 "
+                         "documents\n";
             return 1;
         }
         const JsonValue &a = as.front();
@@ -502,32 +464,52 @@ main(int argc, char **argv)
     std::vector<std::string> diff_paths;
     DiffReport diff;
     std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--workload" && i + 1 < argc) {
-            workload_path = argv[++i];
-        } else if (arg == "--diff" && i + 2 < argc) {
-            diff_paths = {argv[i + 1], argv[i + 2]};
-            i += 2;
-        } else if (arg == "--max-rel-delta" && i + 1 < argc) {
-            diff.maxRelPct = std::atof(argv[++i]);
-        } else if (arg == "--abs-floor" && i + 1 < argc) {
-            diff.absFloor = std::atof(argv[++i]);
-        } else if (arg == "--time-rel-delta" && i + 1 < argc) {
-            diff.timeRelPct = std::atof(argv[++i]);
-        } else if (arg == "--breaches-only") {
-            diff.breachesOnly = true;
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout << cliUsage()
-                      << " [--workload FILE]\n"
-                         "   or: relief_compare --diff A.json[,A2...]"
-                         " B.json[,B2...]"
-                         " [--max-rel-delta PCT] [--abs-floor X]"
-                         " [--time-rel-delta PCT] [--breaches-only]\n";
-            return 0;
-        } else {
-            args.push_back(arg);
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            auto need_value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    fatal("flag ", arg, " needs a value");
+                return argv[++i];
+            };
+            // Diff thresholds are percentages or floors: non-negative.
+            auto threshold = [&]() {
+                double value = parseNumberFlag(arg, need_value());
+                if (value < 0.0)
+                    fatal(arg, " must be non-negative");
+                return value;
+            };
+            if (arg == "--workload") {
+                workload_path = need_value();
+            } else if (arg == "--diff") {
+                if (i + 2 >= argc)
+                    fatal("--diff needs two documents: A.json[,A2...] "
+                          "B.json[,B2...]");
+                diff_paths = {argv[i + 1], argv[i + 2]};
+                i += 2;
+            } else if (arg == "--max-rel-delta") {
+                diff.maxRelPct = threshold();
+            } else if (arg == "--abs-floor") {
+                diff.absFloor = threshold();
+            } else if (arg == "--time-rel-delta") {
+                diff.timeRelPct = threshold();
+            } else if (arg == "--breaches-only") {
+                diff.breachesOnly = true;
+            } else if (arg == "--help" || arg == "-h") {
+                std::cout << cliUsage()
+                          << " [--workload FILE]\n"
+                             "   or: relief_compare --diff "
+                             "A.json[,A2...] B.json[,B2...]"
+                             " [--max-rel-delta PCT] [--abs-floor X]"
+                             " [--time-rel-delta PCT] [--breaches-only]\n";
+                return 0;
+            } else {
+                args.push_back(arg);
+            }
         }
+    } catch (const FatalError &err) {
+        std::cerr << err.what() << "\n";
+        return 1;
     }
 
     if (!diff_paths.empty()) {

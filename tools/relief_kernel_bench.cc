@@ -10,8 +10,8 @@
  * ("relief-kernels-v1") with per-kernel throughput and speedups plus
  * the geometric-mean speedup. CI's kernel-bench job consumes the
  * file; the schema is validated by scripts/check_bench_schema.py and
- * diffable against a baseline with relief_compare --diff (the same
- * noise model as relief-bench-v1 documents).
+ * diffable against a baseline with relief_compare --diff (repeat
+ * lists, per-metric medians, time-like throughputs with floors).
  *
  * Examples:
  *

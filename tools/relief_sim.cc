@@ -242,7 +242,7 @@ main(int argc, char **argv)
                       << "\n";
             return 1;
         }
-        snap.writeJson(out, /*standalone=*/true);
+        snap.writeJson(out);
         out << "\n";
         std::cout << "host profile written to " << hostprof_path
                   << " (coverage "
