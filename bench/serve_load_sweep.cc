@@ -39,10 +39,12 @@
  *   --queue-cap N    queue-cap: in-system cap (default 64)
  *   --seed N         master seed (default 1)
  *   --jobs N         sweep points on N worker threads (0 = one per
- *                    hardware thread); results are jobs-invariant
+ *                    hardware thread, at most 256); results are
+ *                    jobs-invariant
  *   --smoke          tiny sweep for CI: FCFS+RELIEF, 5 loads, 30 ms
  */
 
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -72,6 +74,9 @@ splitCsv(const std::string &list)
             out.push_back(item);
     return out;
 }
+
+/** Upper bound of --jobs: worker threads started at once. */
+constexpr std::uint64_t maxJobs = 256;
 
 /** Miss + shed rate past which a point counts as saturated. */
 constexpr double kneeThreshold = 0.10;
@@ -109,13 +114,13 @@ main(int argc, char **argv)
             } else if (arg == "--loads") {
                 loads.clear();
                 for (const std::string &item : splitCsv(need_value())) {
-                    double load = std::atof(item.c_str());
+                    double load = parseNumberFlag(arg, item);
                     if (load <= 0.0)
                         fatal("--loads needs positive multipliers");
                     loads.push_back(load);
                 }
             } else if (arg == "--horizon-ms") {
-                horizon_ms = std::atof(need_value().c_str());
+                horizon_ms = parseNumberFlag(arg, need_value());
                 if (horizon_ms <= 0.0)
                     fatal("--horizon-ms needs a positive value");
             } else if (arg == "--arrival") {
@@ -126,13 +131,14 @@ main(int argc, char **argv)
             } else if (arg == "--admission") {
                 admission.kind = admissionFromName(need_value());
             } else if (arg == "--queue-cap") {
-                admission.queueCap = std::atoi(need_value().c_str());
+                admission.queueCap =
+                    int(parseCountFlag(arg, need_value(), INT_MAX));
             } else if (arg == "--seed") {
-                seed = std::uint64_t(std::atoll(need_value().c_str()));
+                seed = parseCountFlag(arg, need_value());
             } else if (arg == "--jobs") {
-                jobs = std::atoi(need_value().c_str());
-                if (jobs < 0)
-                    fatal("--jobs needs a non-negative value");
+                // Bounded before any worker starts: each job is a
+                // thread.
+                jobs = int(parseCountFlag(arg, need_value(), maxJobs));
                 if (jobs == 0)
                     jobs = defaultParallelJobs();
             } else if (arg == "--smoke") {
@@ -268,9 +274,8 @@ main(int argc, char **argv)
         }
         out << "\n  ]\n}\n";
         std::cout << "serve JSON written to " << out_path << "\n";
-    } catch (const FatalError &err) {
-        std::cerr << err.what() << "\n";
-        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
     }
     return 0;
 }

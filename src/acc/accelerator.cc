@@ -27,24 +27,22 @@ Accelerator::acquire()
     busy_ = true;
 }
 
-void
-Accelerator::startCompute(Tick duration, Callback on_done)
+Tick
+Accelerator::beginCompute(Tick duration)
 {
     RELIEF_ASSERT(busy_, name(), ": compute without acquisition");
     Tick start = now();
     Tick end = start + duration;
     computeBusy_.retire(start);
     computeBusy_.add(start, end);
-    // Completion runs the manager's bookkeeping; functional payloads
-    // charge their kernel math to HostCat::Kernels themselves.
-    sim().at(end, HostCat::Sched,
-             [this, cb = std::move(on_done)]() {
-                 tasksExecuted_.add(1);
-                 busy_ = false;
-                 if (cb)
-                     cb();
-             },
-             [this] { return name() + ".computeDone"; });
+    return end;
+}
+
+void
+Accelerator::finishCompute()
+{
+    tasksExecuted_.add(1);
+    busy_ = false;
 }
 
 void

@@ -13,7 +13,6 @@
 #ifndef RELIEF_ACC_ACCELERATOR_HH
 #define RELIEF_ACC_ACCELERATOR_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -31,8 +30,6 @@ namespace relief
 class Accelerator : public SimObject
 {
   public:
-    using Callback = std::function<void()>;
-
     /**
      * @param sim       Simulation context.
      * @param name      Debug name, e.g. "soc.convolution0".
@@ -63,11 +60,27 @@ class Accelerator : public SimObject
     void acquire();
 
     /**
-     * Run the functional unit for @p duration; fires @p on_done and
-     * releases the unit when finished. The unit must have been
-     * acquire()d (input DMA happens under acquisition).
+     * Run the functional unit for @p duration; fires @p on_done (any
+     * nullary callable, or nullptr) and releases the unit when
+     * finished. The unit must have been acquire()d (input DMA happens
+     * under acquisition). The callable moves straight into the
+     * completion event, erased once by its slot.
      */
-    void startCompute(Tick duration, Callback on_done);
+    template <typename F>
+    void
+    startCompute(Tick duration, F &&on_done)
+    {
+        // Completion runs the manager's bookkeeping; functional
+        // payloads charge their kernel math to HostCat::Kernels
+        // themselves.
+        Tick end = beginCompute(duration);
+        sim().at(end, HostCat::Sched,
+                 [this, done = std::forward<F>(on_done)]() mutable {
+                     finishCompute();
+                     runCompletion(done);
+                 },
+                 [this] { return name() + ".computeDone"; });
+    }
 
     /** Release the functional unit without computing (error paths). */
     void release();
@@ -82,6 +95,12 @@ class Accelerator : public SimObject
     std::uint64_t tasksExecuted() const { return tasksExecuted_.value(); }
 
   private:
+    /** Occupy the unit from now for @p duration; returns the end. */
+    Tick beginCompute(Tick duration);
+
+    /** Count the finished task and free the unit. */
+    void finishCompute();
+
     AccType type_;
     int instance_;
     std::unique_ptr<Scratchpad> spm_;

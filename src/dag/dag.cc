@@ -1,6 +1,7 @@
 #include "dag/dag.hh"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -20,6 +21,16 @@ namespace
  * bit-identical across --jobs values.
  */
 thread_local NodeId nextNodeId = 1;
+
+/** Compute-jitter bucket of a node labelled @p label, in [0, 2000].
+ *  Hashes the stable label, so identical experiments replay
+ *  identically across processes. */
+std::uint16_t
+jitterBucketOf(const std::string &label)
+{
+    std::uint64_t h = std::hash<std::string>{}(label) * 2654435761ull;
+    return std::uint16_t((h >> 16) % 2001);
+}
 } // namespace
 
 void
@@ -53,7 +64,7 @@ nominalNodeRuntime(const Node &node, double dram_peak_gbs)
 {
     if (node.fixedRuntime)
         return node.fixedRuntime;
-    Tick compute = computeTime(node.params);
+    Tick compute = node.computeTicks();
     std::uint64_t bytes =
         std::uint64_t(node.params.numInputs) * node.inputOperandSize() +
         node.outputSize();
@@ -106,11 +117,17 @@ Dag::finalize(double dram_peak_gbs)
     RELIEF_ASSERT(!nodes_.empty(), name_, ": empty DAG");
     RELIEF_ASSERT(relDeadline_ > 0, name_, ": no deadline set");
 
+    checkConsecutiveIds();
+
     const int n = numNodes();
     std::vector<Tick> runtime(std::size_t(n), 0);
-    for (int i = 0; i < n; ++i)
-        runtime[std::size_t(i)] =
-            nominalNodeRuntime(*nodes_[std::size_t(i)], dram_peak_gbs);
+    for (int i = 0; i < n; ++i) {
+        Node &node = *nodes_[std::size_t(i)];
+        // Timing inputs are fixed from here on: cost each node once.
+        node.cachedCompute = node.computeTicks();
+        node.jitterBucket = jitterBucketOf(node.label);
+        runtime[std::size_t(i)] = nominalNodeRuntime(node, dram_peak_gbs);
+    }
 
     // up[i]: longest runtime path from any root ending at i, inclusive.
     std::vector<Tick> up(std::size_t(n), Tick(0));
@@ -181,10 +198,8 @@ Tick
 Dag::totalComputeTime() const
 {
     Tick total = 0;
-    for (const auto &node : nodes_) {
-        total += node->fixedRuntime ? node->fixedRuntime
-                                    : computeTime(node->params);
-    }
+    for (const auto &node : nodes_)
+        total += node->computeTicks();
     return total;
 }
 
@@ -236,6 +251,22 @@ Dag::renumber()
 {
     for (auto &node : nodes_)
         node->id = nextNodeId++;
+    checkConsecutiveIds();
+}
+
+void
+Dag::checkConsecutiveIds() const
+{
+    // The manager releases a resubmitted DAG's scratchpad residue by
+    // id range (HardwareManager::invalidateDagResidue), which is exact
+    // only when the range holds this DAG's ids and no others.
+    for (std::size_t i = 1; i < nodes_.size(); ++i) {
+        NodeId expected = nodes_[i - 1]->id + 1;
+        RELIEF_ASSERT(nodes_[i]->id == expected, name_,
+                      ": node ids not consecutive (", nodes_[i]->label,
+                      " has id ", nodes_[i]->id, ", expected ", expected,
+                      "); build one DAG at a time");
+    }
 }
 
 void

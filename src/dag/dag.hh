@@ -76,9 +76,10 @@ class Dag
     void setRelativeDeadline(Tick deadline) { relDeadline_ = deadline; }
 
     /**
-     * Validate (acyclic, ids set) and compute per-node relative
-     * deadlines for every scheme using @p dram_peak_gbs for nominal
-     * runtimes. Must be called before submission.
+     * Validate (acyclic, ids consecutive in node order), cache each
+     * node's compute time and jitter bucket, and compute per-node
+     * relative deadlines for every scheme using @p dram_peak_gbs for
+     * nominal runtimes. Must be called before submission.
      */
     void finalize(double dram_peak_gbs = 12.8);
 
@@ -100,6 +101,12 @@ class Dag
     const std::vector<Node *> &allNodes() { return nodeList_; }
     std::vector<Node *> roots();
     std::vector<Node *> leaves();
+
+    /** Node ids are consecutive in node order (checked by finalize()
+     *  and renumber()), so [firstNodeId(), lastNodeId()] is exactly
+     *  the id set of a finalized DAG. */
+    NodeId firstNodeId() const { return nodes_.front()->id; }
+    NodeId lastNodeId() const { return nodes_.back()->id; }
 
     /** Sum of nominal runtimes along the longest path (critical path). */
     Tick criticalPathRuntime() const { return criticalPath_; }
@@ -162,6 +169,9 @@ class Dag
     void setQosClass(int qos_class) { qosClass_ = qos_class; }
 
   private:
+    /** Panic unless node ids run consecutively in node order. */
+    void checkConsecutiveIds() const;
+
     std::string name_;
     char symbol_;
     Tick relDeadline_ = 0;

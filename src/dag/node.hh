@@ -90,6 +90,10 @@ struct Node
     NodeId id = 0;            ///< Globally unique, > 0.
     Dag *dag = nullptr;       ///< Owning DAG.
     int indexInDag = -1;      ///< Position in the DAG's node list.
+    /** Compute-jitter bucket in [0, 2000], hashed from the label by
+     *  Dag::finalize: the manager scales compute time by
+     *  1 + amplitude * (jitterBucket / 1000 - 1). */
+    std::uint16_t jitterBucket = 0;
     std::string label;        ///< Debug label, e.g. "canny.sobel_x".
     TaskParams params;        ///< Operation for the timing model.
     std::vector<Node *> parents;
@@ -105,6 +109,7 @@ struct Node
 
     // --- Scheduler/manager state ---
     NodeStatus status = NodeStatus::Waiting;
+    bool isFwd = false;         ///< Promoted as a forwarding node.
     std::uint32_t completedParents = 0;
     Tick deadline = 0;          ///< Absolute deadline (scheme applied).
     /** Policy-independent absolute deadline (critical-path scheme) the
@@ -113,7 +118,10 @@ struct Node
     Tick scoreDeadline = 0;
     Tick predictedRuntime = 0;  ///< Estimated at ready-queue insert.
     STick laxityKey = 0;        ///< deadline - predictedRuntime.
-    bool isFwd = false;         ///< Promoted as a forwarding node.
+    /** computeTicks() as cached by Dag::finalize (0 = not cached).
+     *  Placed where the layout had padding, so Node stays 408 B
+     *  (docs/performance.md, "Heap-trim hazard"). */
+    Tick cachedCompute = 0;
     std::vector<ProducerRef> producerRefs; ///< Parallel to parents.
     std::vector<InputSource> inputSources; ///< Parallel to parents.
 
@@ -126,6 +134,20 @@ struct Node
 
     /** Functional result (filled when fn is set and the node runs). */
     std::vector<float> outputData;
+
+    /**
+     * Profiled compute time: fixedRuntime when set, else
+     * computeTime(params). Dag::finalize caches it, so params and
+     * fixedRuntime must not change after finalize; before it, the
+     * value is computed on each call.
+     */
+    Tick
+    computeTicks() const
+    {
+        if (cachedCompute)
+            return cachedCompute;
+        return fixedRuntime ? fixedRuntime : computeTime(params);
+    }
 
     /** Bytes this node's output occupies. */
     std::uint64_t outputSize() const { return outputBytes(params); }

@@ -58,37 +58,17 @@ DmaEngine::makeTag(TrafficClass cls, const TransferCtx &ctx) const
 }
 
 Tick
-DmaEngine::launch(const std::vector<BandwidthResource *> &path,
-                  std::uint64_t bytes, TrafficClass cls, Callback on_done,
-                  const RequestorTag &tag)
+DmaEngine::reserveWhole(std::uint64_t bytes, TrafficClass cls,
+                        const RequestorTag &tag)
 {
-    if (config_.burstBytes > 0 && bytes > config_.burstBytes) {
-        return launchChunked(path, bytes, cls, std::move(on_done), tag);
-    }
-    auto timing = reserveTransfer(path, now(), bytes, tag);
+    auto timing = reserveTransfer(route_, now(), bytes, tag);
     fabric_.recordTransfer(timing.start, timing.end, bytes);
     // Producer-side read energy of forwards is accounted by the
     // caller, which knows which scratchpad it pulled from.
     accountTraffic(bytes, cls);
     DPRINTF(Dma, trafficClassName(cls), " launch ", bytes,
             " bytes, done at ", timing.end);
-
-    return completeAt(timing.end, bytes, std::move(on_done), ".done");
-}
-
-Tick
-DmaEngine::completeAt(Tick when, std::uint64_t bytes, Callback on_done,
-                      const char *label_suffix)
-{
-    outstanding_ += bytes;
-    sim().at(when, HostCat::Dma,
-             [this, bytes, cb = std::move(on_done)]() {
-                 outstanding_ -= bytes;
-                 if (cb)
-                     cb();
-             },
-             [this, label_suffix] { return name() + label_suffix; });
-    return when;
+    return timing.end;
 }
 
 Tick
@@ -190,39 +170,29 @@ DmaEngine::accountTraffic(std::uint64_t bytes, TrafficClass cls)
     }
 }
 
-Tick
-DmaEngine::readFromDram(std::uint64_t bytes, Callback on_done,
-                        std::uint64_t stream_hint,
-                        const TransferCtx &ctx)
+void
+DmaEngine::routeDramRead(std::uint64_t stream_hint)
 {
     route_.clear();
     route_.push_back(&readChannel_);
     dram_.appendPath(stream_hint, route_);
     fabric_.appendPath(dramPort_, port_, route_);
     route_.push_back(&localSpm_.port());
-    return launch(route_, bytes, TrafficClass::DramRead,
-                  std::move(on_done),
-                  makeTag(TrafficClass::DramRead, ctx));
 }
 
-Tick
-DmaEngine::writeToDram(std::uint64_t bytes, Callback on_done,
-                       std::uint64_t stream_hint, const TransferCtx &ctx)
+void
+DmaEngine::routeDramWrite(std::uint64_t stream_hint)
 {
     route_.clear();
     route_.push_back(&writeChannel_);
     route_.push_back(&localSpm_.port());
     fabric_.appendPath(port_, dramPort_, route_);
     dram_.appendPath(stream_hint, route_);
-    return launch(route_, bytes, TrafficClass::DramWrite,
-                  std::move(on_done),
-                  makeTag(TrafficClass::DramWrite, ctx));
 }
 
-Tick
-DmaEngine::forwardFrom(Scratchpad &producer, PortId producer_port,
-                       std::uint64_t bytes, Callback on_done,
-                       const TransferCtx &ctx)
+void
+DmaEngine::routeForward(Scratchpad &producer, PortId producer_port,
+                        std::uint64_t bytes)
 {
     RELIEF_ASSERT(&producer != &localSpm_,
                   name(), ": use colocation, not forwarding, for the "
@@ -233,15 +203,11 @@ DmaEngine::forwardFrom(Scratchpad &producer, PortId producer_port,
     route_.push_back(&producer.port());
     fabric_.appendPath(producer_port, port_, route_);
     route_.push_back(&localSpm_.port());
-    return launch(route_, bytes, TrafficClass::SpmForward,
-                  std::move(on_done),
-                  makeTag(TrafficClass::SpmForward, ctx));
 }
 
 Tick
-DmaEngine::streamFrom(Scratchpad &producer, PortId producer_port,
-                      std::uint64_t bytes, Callback on_done,
-                      const TransferCtx &ctx)
+DmaEngine::reserveStream(Scratchpad &producer, PortId producer_port,
+                         std::uint64_t bytes, const TransferCtx &ctx)
 {
     RELIEF_ASSERT(&producer != &localSpm_,
                   name(), ": streaming from the local scratchpad");
@@ -256,8 +222,7 @@ DmaEngine::streamFrom(Scratchpad &producer, PortId producer_port,
     timing.end += config_.streamSetupLatency;
     fabric_.recordTransfer(timing.start, timing.end, bytes);
     DPRINTF(Dma, "stream ", bytes, " bytes, done at ", timing.end);
-    return completeAt(timing.end, bytes, std::move(on_done),
-                      ".streamDone");
+    return timing.end;
 }
 
 std::uint64_t

@@ -69,6 +69,13 @@ struct TransferCtx
     bool spill = false;
 };
 
+/**
+ * Completion callbacks: every transfer call takes any nullary callable
+ * (or nullptr for none) as a template parameter and moves it straight
+ * into its completion event, so the event slot's InlineCallable is its
+ * only type erasure. Only burst-mode transfers, whose completion rides
+ * a pooled ChunkState across several events, store it as a Callback.
+ */
 class DmaEngine : public SimObject
 {
   public:
@@ -96,23 +103,45 @@ class DmaEngine : public SimObject
      *        node id); the banked memory model maps it to a bank.
      * @return the reservation's end tick; @p on_done fires then.
      */
-    Tick readFromDram(std::uint64_t bytes, Callback on_done,
-                      std::uint64_t stream_hint = 0,
-                      const TransferCtx &ctx = {});
+    template <typename F>
+    Tick
+    readFromDram(std::uint64_t bytes, F &&on_done,
+                 std::uint64_t stream_hint = 0, const TransferCtx &ctx = {})
+    {
+        routeDramRead(stream_hint);
+        return launch(bytes, TrafficClass::DramRead,
+                      std::forward<F>(on_done),
+                      makeTag(TrafficClass::DramRead, ctx));
+    }
 
     /** Local SPM -> DRAM write-back of @p bytes. */
-    Tick writeToDram(std::uint64_t bytes, Callback on_done,
-                     std::uint64_t stream_hint = 0,
-                     const TransferCtx &ctx = {});
+    template <typename F>
+    Tick
+    writeToDram(std::uint64_t bytes, F &&on_done,
+                std::uint64_t stream_hint = 0, const TransferCtx &ctx = {})
+    {
+        routeDramWrite(stream_hint);
+        return launch(bytes, TrafficClass::DramWrite,
+                      std::forward<F>(on_done),
+                      makeTag(TrafficClass::DramWrite, ctx));
+    }
 
     /**
      * Producer SPM -> local SPM forward of @p bytes. The caller is
      * responsible for ongoing-read bookkeeping on the producer
      * partition (beginRead before calling, endRead from @p on_done).
      */
-    Tick forwardFrom(Scratchpad &producer, PortId producer_port,
-                     std::uint64_t bytes, Callback on_done,
-                     const TransferCtx &ctx = {});
+    template <typename F>
+    Tick
+    forwardFrom(Scratchpad &producer, PortId producer_port,
+                std::uint64_t bytes, F &&on_done,
+                const TransferCtx &ctx = {})
+    {
+        routeForward(producer, producer_port, bytes);
+        return launch(bytes, TrafficClass::SpmForward,
+                      std::forward<F>(on_done),
+                      makeTag(TrafficClass::SpmForward, ctx));
+    }
 
     /**
      * AXI-stream-style forward: a dedicated producer/consumer FIFO
@@ -121,9 +150,14 @@ class DmaEngine : public SimObject
      * and both scratchpad ports — only the fabric is claimed, with a
      * small per-stream setup cost. Accounting matches forwardFrom().
      */
-    Tick streamFrom(Scratchpad &producer, PortId producer_port,
-                    std::uint64_t bytes, Callback on_done,
-                    const TransferCtx &ctx = {});
+    template <typename F>
+    Tick
+    streamFrom(Scratchpad &producer, PortId producer_port,
+               std::uint64_t bytes, F &&on_done, const TransferCtx &ctx = {})
+    {
+        return completeAt(reserveStream(producer, producer_port, bytes, ctx),
+                          bytes, std::forward<F>(on_done), ".streamDone");
+    }
 
     /**
      * Pressure-ledger source id stamped on every transfer this engine
@@ -171,16 +205,57 @@ class DmaEngine : public SimObject
     /** Ledger tag for a transfer of class @p cls under @p ctx. */
     RequestorTag makeTag(TrafficClass cls, const TransferCtx &ctx) const;
 
-    Tick launch(const std::vector<BandwidthResource *> &path,
-                std::uint64_t bytes, TrafficClass cls, Callback on_done,
-                const RequestorTag &tag);
+    /** Rebuild route_ for a DRAM read, a DRAM write-back, or a
+     *  forward from @p producer (which also accounts its read). */
+    void routeDramRead(std::uint64_t stream_hint);
+    void routeDramWrite(std::uint64_t stream_hint);
+    void routeForward(Scratchpad &producer, PortId producer_port,
+                      std::uint64_t bytes);
+
+    /** Move @p bytes along route_: one reservation, or bursts when
+     *  the transfer exceeds the configured burst size. */
+    template <typename F>
+    Tick
+    launch(std::uint64_t bytes, TrafficClass cls, F &&on_done,
+           const RequestorTag &tag)
+    {
+        if (config_.burstBytes > 0 && bytes > config_.burstBytes) {
+            return launchChunked(route_, bytes, cls,
+                                 Callback(std::forward<F>(on_done)), tag);
+        }
+        return completeAt(reserveWhole(bytes, cls, tag), bytes,
+                          std::forward<F>(on_done), ".done");
+    }
+
+    /** Reserve route_ for @p bytes as one transfer and account it;
+     *  returns the end tick. */
+    Tick reserveWhole(std::uint64_t bytes, TrafficClass cls,
+                      const RequestorTag &tag);
+
+    /** Reserve and account a streamFrom() transfer; returns its end. */
+    Tick reserveStream(Scratchpad &producer, PortId producer_port,
+                       std::uint64_t bytes, const TransferCtx &ctx);
+
     Tick launchChunked(const std::vector<BandwidthResource *> &path,
                        std::uint64_t bytes, TrafficClass cls,
                        Callback on_done, const RequestorTag &tag);
+
     /** Count @p bytes outstanding until @p when, then run @p on_done;
      *  the event is labelled name() + @p label_suffix. */
-    Tick completeAt(Tick when, std::uint64_t bytes, Callback on_done,
-                    const char *label_suffix);
+    template <typename F>
+    Tick
+    completeAt(Tick when, std::uint64_t bytes, F &&on_done,
+               const char *label_suffix)
+    {
+        outstanding_ += bytes;
+        sim().at(when, HostCat::Dma,
+                 [this, bytes, done = std::forward<F>(on_done)]() mutable {
+                     outstanding_ -= bytes;
+                     runCompletion(done);
+                 },
+                 [this, label_suffix] { return name() + label_suffix; });
+        return when;
+    }
     void issueNextChunk(ChunkState *state);
     void accountTraffic(std::uint64_t bytes, TrafficClass cls);
 

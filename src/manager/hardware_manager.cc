@@ -84,16 +84,14 @@ HardwareManager::occupyManager(Tick cost)
 Tick
 HardwareManager::actualComputeTime(const Node &node) const
 {
-    Tick base = node.fixedRuntime ? node.fixedRuntime
-                                  : computeTime(node.params);
+    Tick base = node.computeTicks();
     if (config_.computeJitter <= 0.0)
         return base;
     // Deterministic per-node jitter in [-amplitude, +amplitude]: models
     // the tiny pipeline-level variation real accelerators exhibit. The
-    // hash uses the stable node label so identical experiments replay
-    // identically across processes.
-    std::uint64_t h = std::hash<std::string>{}(node.label) * 2654435761ull;
-    double unit = double((h >> 16) % 2001) / 1000.0 - 1.0;
+    // bucket is hashed from the stable node label at finalize, so
+    // identical experiments replay identically across processes.
+    double unit = double(node.jitterBucket) / 1000.0 - 1.0;
     double scaled = double(base) * (1.0 + config_.computeJitter * unit);
     return scaled > 1.0 ? Tick(scaled) : Tick(1);
 }
@@ -134,14 +132,12 @@ HardwareManager::beginDag(Dag *dag)
 void
 HardwareManager::invalidateDagResidue(Dag *dag)
 {
-    for (AccState &state : accs_) {
-        Scratchpad &spm = state.acc->spm();
-        for (Node *node : dag->allNodes()) {
-            int part = spm.findOutput(node->id);
-            if (part >= 0 && spm.partition(part).ongoingReads == 0)
-                spm.release(part);
-        }
-    }
+    // A DAG's ids are consecutive (Dag::finalize/renumber check it), so
+    // one pass over each scratchpad's partitions finds every output of
+    // the previous submission.
+    for (AccState &state : accs_)
+        state.acc->spm().releaseOutputs(dag->firstNodeId(),
+                                        dag->lastNodeId());
 }
 
 void
@@ -357,9 +353,8 @@ HardwareManager::issueInputs(AccState &state)
         std::uint64_t(node->params.numInputs) * operand +
         node->outputSize();
 
-    // Completion callbacks capture two words at most, so they fit
-    // std::function's inline buffer and issuing an input allocates
-    // nothing.
+    // Completion callbacks capture two words at most and ride inside
+    // the DMA completion event, so issuing an input allocates nothing.
     auto on_input_done = [this, &state]() { onInputDone(state); };
 
     for (std::size_t i = 0; i < node->parents.size(); ++i) {
@@ -542,10 +537,7 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
         ++metrics_.nodeDeadlinesMet;
 
     // Compute-time prediction outcome (Table VIII).
-    Tick predicted_compute = node->fixedRuntime
-                                 ? node->fixedRuntime
-                                 : computeTime(node->params);
-    predictor_->recordComputeOutcome(predicted_compute,
+    predictor_->recordComputeOutcome(node->computeTicks(),
                                      actualComputeTime(*node));
 
     Dag *dag = node->dag;
@@ -611,12 +603,12 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
 
                  // Memory-time prediction outcome (Table VIII), now
                  // that the write-back decision is in.
-                 Tick predicted_mem = node->predictedRuntime >=
-                                              computeTime(node->params)
-                                          ? node->predictedRuntime -
-                                                computeTime(node->params)
-                                          : 0;
                  if (!node->fixedRuntime) {
+                     Tick compute = node->computeTicks();
+                     Tick predicted_mem =
+                         node->predictedRuntime >= compute
+                             ? node->predictedRuntime - compute
+                             : 0;
                      predictor_->recordMemoryOutcome(predicted_mem,
                                                      node->actualMemTime);
                  }

@@ -87,6 +87,16 @@ Scratchpad::findOutput(NodeId node) const
 }
 
 void
+Scratchpad::releaseOutputs(NodeId first, NodeId last)
+{
+    for (SpmPartition &p : partitions_) {
+        if (p.owner >= first && p.owner <= last && p.dataValid &&
+            p.ongoingReads == 0)
+            p = SpmPartition{};
+    }
+}
+
+void
 Scratchpad::beginRead(int index)
 {
     auto &p = partitionRef(index);

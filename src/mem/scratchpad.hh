@@ -85,6 +85,13 @@ class Scratchpad : public SimObject
     /** Locate the partition holding valid output of @p node; -1 if gone. */
     int findOutput(NodeId node) const;
 
+    /**
+     * Drop every valid output of a node with id in [@p first, @p last]
+     * that no consumer is reading: a resubmitted DAG's residue, when
+     * the range is exactly that DAG's ids.
+     */
+    void releaseOutputs(NodeId first, NodeId last);
+
     /** A consumer DMA starts reading partition @p index. */
     void beginRead(int index);
 

@@ -115,7 +115,7 @@ RuntimePredictor::predict(const Node &node) const
 {
     if (node.fixedRuntime)
         return node.fixedRuntime;
-    return computeTime(node.params) + predictMemoryTime(node);
+    return node.computeTicks() + predictMemoryTime(node);
 }
 
 void

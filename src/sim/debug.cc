@@ -1,6 +1,5 @@
 #include "sim/debug.hh"
 
-#include <array>
 #include <sstream>
 
 namespace relief
@@ -8,11 +7,17 @@ namespace relief
 
 namespace
 {
+constexpr std::uint32_t allFlagBits =
+    (std::uint32_t(1) << numDebugFlags) - 1;
+} // namespace
+
+namespace detail
+{
 // Thread-local so independent simulations on a parallel runner's
 // worker threads keep isolated flag sets (core/parallel.hh copies the
 // launching thread's mask into each worker).
-thread_local std::array<bool, numDebugFlags> enabledFlags{};
-} // namespace
+constinit thread_local std::uint32_t debugFlagBits = 0;
+} // namespace detail
 
 const char *
 debugFlagName(DebugFlag flag)
@@ -47,16 +52,14 @@ allDebugFlags()
     return flags;
 }
 
-bool
-debugFlagEnabled(DebugFlag flag)
-{
-    return enabledFlags[std::size_t(flag)];
-}
-
 void
 setDebugFlag(DebugFlag flag, bool enabled)
 {
-    enabledFlags[std::size_t(flag)] = enabled;
+    const std::uint32_t bit = std::uint32_t(1) << std::size_t(flag);
+    if (enabled)
+        detail::debugFlagBits |= bit;
+    else
+        detail::debugFlagBits &= ~bit;
 }
 
 bool
@@ -95,24 +98,19 @@ setDebugFlags(const std::string &csv)
 void
 clearDebugFlags()
 {
-    enabledFlags.fill(false);
+    detail::debugFlagBits = 0;
 }
 
 std::uint32_t
 debugFlagMask()
 {
-    std::uint32_t mask = 0;
-    for (std::size_t i = 0; i < numDebugFlags; ++i)
-        if (enabledFlags[i])
-            mask |= std::uint32_t(1) << i;
-    return mask;
+    return detail::debugFlagBits;
 }
 
 void
 setDebugFlagMask(std::uint32_t mask)
 {
-    for (std::size_t i = 0; i < numDebugFlags; ++i)
-        enabledFlags[i] = (mask >> i) & 1;
+    detail::debugFlagBits = mask & allFlagBits;
 }
 
 void

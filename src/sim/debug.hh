@@ -52,8 +52,20 @@ const char *debugFlagName(DebugFlag flag);
 /** All flags, for enumeration in help text and tests. */
 const std::vector<DebugFlag> &allDebugFlags();
 
+namespace detail
+{
+/** The calling thread's enabled flags, bit i = DebugFlag i. Only the
+ *  setters below write it. Constant-initialized, so reading it is a
+ *  plain thread-local load with no initialization guard. */
+extern constinit thread_local std::uint32_t debugFlagBits;
+} // namespace detail
+
 /** True when @p flag is enabled. */
-bool debugFlagEnabled(DebugFlag flag);
+inline bool
+debugFlagEnabled(DebugFlag flag)
+{
+    return (detail::debugFlagBits >> std::size_t(flag)) & 1u;
+}
 
 /** Enable or disable one flag. */
 void setDebugFlag(DebugFlag flag, bool enabled = true);

@@ -55,7 +55,7 @@ class InlineCallable
 {
   public:
     /** Inline capture budget; sized so every model call site
-     *  (this + a few scalars + a std::function callback) fits. */
+     *  (this + a few scalars + a small completion callable) fits. */
     static constexpr std::size_t capacity = 64;
 
     InlineCallable() = default;
@@ -117,6 +117,20 @@ class InlineCallable
     void (*destroy_)(void *) = nullptr;
     void *heap_ = nullptr;
 };
+
+/**
+ * Run a completion callback a model component carries inside its own
+ * event closure (DmaEngine, Accelerator), so the event slot's
+ * InlineCallable is the callback's only type erasure. nullptr means
+ * no callback.
+ */
+template <typename F>
+void
+runCompletion(F &done)
+{
+    if constexpr (!std::is_null_pointer_v<F>)
+        done();
+}
 
 class EventQueue;
 

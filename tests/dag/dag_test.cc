@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <string>
 
 #include "dag/apps/apps.hh"
 #include "dag/dag.hh"
@@ -220,6 +222,91 @@ TEST(DagTest, CompleteLifecycle)
     EXPECT_FALSE(dag.complete());
     dag.noteNodeFinished();
     EXPECT_TRUE(dag.complete());
+}
+
+/** The jitter bucket as the manager used to hash it on every call. */
+std::uint16_t
+hashedJitterBucket(const std::string &label)
+{
+    std::uint64_t h = std::hash<std::string>{}(label) * 2654435761ull;
+    return std::uint16_t((h >> 16) % 2001);
+}
+
+/** Every cached timing input of @p dag equals its uncached formula. */
+void
+expectTimingCaches(Dag &dag, const std::string &what)
+{
+    for (Node *node : dag.allNodes()) {
+        Tick model = node->fixedRuntime ? node->fixedRuntime
+                                        : computeTime(node->params);
+        EXPECT_EQ(node->cachedCompute, model) << what << " " << node->label;
+        EXPECT_EQ(node->computeTicks(), model) << what << " " << node->label;
+        EXPECT_EQ(node->jitterBucket, hashedJitterBucket(node->label))
+            << what << " " << node->label;
+        EXPECT_LE(node->jitterBucket, 2000) << what << " " << node->label;
+    }
+}
+
+TEST(DagTest, FinalizeCachesComputeTimeAndJitterOfEveryAppNode)
+{
+    for (bool functional : {false, true}) {
+        AppConfig config;
+        config.functional = functional;
+        for (AppId app : allApps) {
+            std::string what = appName(app) +
+                               (functional ? " (functional)" : "");
+            DagPtr dag = buildApp(app, config);
+            expectTimingCaches(*dag, what);
+            // A recycled DAG keeps its labels and params, so its
+            // caches stay valid under fresh ids.
+            dag->renumber();
+            expectTimingCaches(*dag, what + " renumbered");
+        }
+    }
+}
+
+TEST(DagTest, FinalizeCachesFixedRuntimeOverride)
+{
+    Dag dag("t", 'T');
+    Node *a = dag.addNode(em(), "a");
+    Node *b = dag.addNode(em(), "b");
+    dag.addEdge(a, b);
+    a->fixedRuntime = fromUs(3.0);
+    EXPECT_EQ(a->computeTicks(), fromUs(3.0)); // uncached before finalize
+    EXPECT_EQ(b->computeTicks(), computeTime(b->params));
+    dag.setRelativeDeadline(fromMs(1.0));
+    dag.finalize();
+    expectTimingCaches(dag, "fixed");
+    EXPECT_EQ(a->cachedCompute, fromUs(3.0));
+    EXPECT_EQ(dag.totalComputeTime(), fromUs(3.0) + computeTime(b->params));
+}
+
+TEST(DagTest, IdsAreConsecutiveInNodeOrder)
+{
+    Dag dag("t", 'T');
+    for (int i = 0; i < 4; ++i)
+        dag.addNode(em(), std::to_string(i));
+    dag.setRelativeDeadline(fromMs(1.0));
+    dag.finalize();
+    EXPECT_EQ(dag.lastNodeId(), dag.firstNodeId() + 3);
+    dag.renumber();
+    EXPECT_EQ(dag.firstNodeId(), dag.node(0)->id);
+    EXPECT_EQ(dag.lastNodeId(), dag.firstNodeId() + 3);
+}
+
+TEST(DagTest, InterleavedBuildsFailTheConsecutiveIdCheck)
+{
+    // Building two DAGs node by node in alternation leaves gaps in
+    // each one's ids; the id-range residue release needs none.
+    Dag a("a", 'A');
+    Dag b("b", 'B');
+    a.addNode(em(), "a0");
+    b.addNode(em(), "b0");
+    a.addNode(em(), "a1");
+    a.setRelativeDeadline(fromMs(1.0));
+    b.setRelativeDeadline(fromMs(1.0));
+    EXPECT_THROW(a.finalize(), PanicError);
+    b.finalize(); // a single node is trivially consecutive
 }
 
 } // namespace

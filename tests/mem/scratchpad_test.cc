@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/rng.hh"
+#include "dag/dag.hh"
 #include "mem/scratchpad.hh"
 #include "sim/logging.hh"
 
@@ -148,6 +154,89 @@ TEST_F(ScratchpadTest, FindOutputOnlyMatchesOwner)
     spm.produceOutput(0);
     EXPECT_EQ(spm.findOutput(6), -1);
     EXPECT_EQ(spm.findOutput(5), 0);
+}
+
+/** The per-node residue release: findOutput for every node id. */
+void
+releaseByNodeScan(Scratchpad &spm, Dag &dag)
+{
+    for (Node *node : dag.allNodes()) {
+        int part = spm.findOutput(node->id);
+        if (part >= 0 && spm.partition(part).ongoingReads == 0)
+            spm.release(part);
+    }
+}
+
+TEST(ScratchpadResidueTest, RangeReleaseMatchesPerNodeScan)
+{
+    Xoshiro256pp rng(17);
+    Simulator sim;
+    int releases = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        // The DAG under test, a DAG built after it, and — when it is
+        // recycled — the ids it held before renumbering.
+        auto build = [&](const char *name, int n) {
+            auto dag = std::make_unique<Dag>(name, 'X');
+            for (int i = 0; i < n; ++i)
+                dag->addNode(TaskParams{}, std::to_string(i));
+            dag->setRelativeDeadline(fromMs(1.0));
+            dag->finalize();
+            return dag;
+        };
+        auto dag = build("d", 1 + int(rng.uniformInt(6)));
+        auto other = build("o", 1 + int(rng.uniformInt(4)));
+        std::vector<NodeId> owners;
+        for (Node *node : dag->allNodes())
+            owners.push_back(node->id);
+        for (Node *node : other->allNodes())
+            owners.push_back(node->id);
+        if (trial % 2) {
+            dag->renumber(); // old ids stay behind as stale residue
+            for (Node *node : dag->allNodes())
+                owners.push_back(node->id);
+        }
+
+        ScratchpadConfig config;
+        config.numOutputPartitions = 1 + int(rng.uniformInt(6));
+        Scratchpad scan(sim, "scan", config);
+        Scratchpad range(sim, "range", config);
+        std::vector<bool> held(std::size_t(config.numOutputPartitions));
+        for (int p = 0; p < config.numOutputPartitions; ++p) {
+            if (owners.empty() || rng.uniformInt(4) == 0)
+                continue; // empty partition
+            // An output lives in at most one partition per scratchpad.
+            std::size_t pick = rng.uniformInt(owners.size());
+            NodeId owner = owners[pick];
+            owners.erase(owners.begin() + std::ptrdiff_t(pick));
+            held[std::size_t(p)] = true;
+            bool produced = rng.uniformInt(4) != 0;
+            bool written_back = rng.uniformInt(2) != 0;
+            int reads = produced ? int(rng.uniformInt(3)) : 0;
+            for (Scratchpad *spm : {&scan, &range}) {
+                spm->allocateOutput(p, owner, 64);
+                if (produced)
+                    spm->produceOutput(p);
+                if (written_back)
+                    spm->markWrittenBack(p);
+                for (int r = 0; r < reads; ++r)
+                    spm->beginRead(p);
+            }
+        }
+
+        releaseByNodeScan(scan, *dag);
+        range.releaseOutputs(dag->firstNodeId(), dag->lastNodeId());
+        for (int p = 0; p < config.numOutputPartitions; ++p) {
+            const SpmPartition &a = scan.partition(p);
+            const SpmPartition &b = range.partition(p);
+            EXPECT_EQ(a.owner, b.owner) << "trial " << trial << " p" << p;
+            EXPECT_EQ(a.dataValid, b.dataValid) << "trial " << trial;
+            EXPECT_EQ(a.ongoingReads, b.ongoingReads) << "trial " << trial;
+            EXPECT_EQ(a.writtenBack, b.writtenBack) << "trial " << trial;
+            EXPECT_EQ(a.bytes, b.bytes) << "trial " << trial;
+            releases += held[std::size_t(p)] && a.owner == 0;
+        }
+    }
+    EXPECT_GT(releases, 50) << "the states must exercise releases";
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel.hh"
 #include "sim/debug.hh"
 
 namespace relief
@@ -95,6 +96,52 @@ TEST_F(DebugTest, ClearDisablesEverything)
     clearDebugFlags();
     for (DebugFlag flag : allDebugFlags())
         EXPECT_FALSE(debugFlagEnabled(flag));
+}
+
+TEST_F(DebugTest, EnabledTracksEverySetter)
+{
+    // debugFlagEnabled reads the mask inline; every setter must keep
+    // it and the per-flag view in step.
+    auto expectOnly = [](std::uint32_t mask) {
+        EXPECT_EQ(debugFlagMask(), mask);
+        for (DebugFlag flag : allDebugFlags()) {
+            bool on = (mask >> std::size_t(flag)) & 1u;
+            EXPECT_EQ(debugFlagEnabled(flag), on) << debugFlagName(flag);
+        }
+    };
+    expectOnly(0);
+    setDebugFlag(DebugFlag::Event);
+    setDebugFlag(DebugFlag::Sched);
+    expectOnly((1u << std::size_t(DebugFlag::Event)) |
+               (1u << std::size_t(DebugFlag::Sched)));
+    setDebugFlag(DebugFlag::Event, false);
+    expectOnly(1u << std::size_t(DebugFlag::Sched));
+
+    setDebugFlagMask(0x55);
+    expectOnly(0x55);
+    // Bits past the last flag name no flag and are dropped.
+    setDebugFlagMask(~std::uint32_t(0));
+    expectOnly((1u << numDebugFlags) - 1);
+    clearDebugFlags();
+    expectOnly(0);
+}
+
+TEST_F(DebugTest, ParallelWorkersSeeTheLaunchersMask)
+{
+    setDebugFlags("Dma,Serve");
+    const std::uint32_t launcher = debugFlagMask();
+    std::vector<std::uint32_t> seen(6, 0);
+    std::vector<int> enabled(6, 0);
+    parallelFor(seen.size(), 2, [&](std::size_t i) {
+        seen[i] = debugFlagMask();
+        enabled[i] = debugFlagEnabled(DebugFlag::Dma) &&
+                     debugFlagEnabled(DebugFlag::Serve) &&
+                     !debugFlagEnabled(DebugFlag::Sched);
+    });
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(seen[i], launcher) << "index " << i;
+        EXPECT_TRUE(enabled[i]) << "index " << i;
+    }
 }
 
 TEST_F(DebugTest, DebugPrintFormatsTickObjectMessage)

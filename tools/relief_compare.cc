@@ -507,26 +507,23 @@ main(int argc, char **argv)
                 args.push_back(arg);
             }
         }
-    } catch (const FatalError &err) {
-        std::cerr << err.what() << "\n";
-        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
     }
 
     if (!diff_paths.empty()) {
         try {
             return runDiff(diff_paths[0], diff_paths[1], diff);
-        } catch (const FatalError &err) {
-            std::cerr << err.what() << "\n";
-            return 1;
+        } catch (const FatalError &) {
+            return 1; // fatal() already printed the message
         }
     }
 
     ExperimentConfig config;
     try {
         config = parseCliOptions(args);
-    } catch (const FatalError &err) {
-        std::cerr << err.what() << "\n";
-        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
     }
 
     Table table("policy comparison — " +
@@ -545,9 +542,8 @@ main(int argc, char **argv)
         std::vector<DagPtr> dags;
         try {
             dags = buildWorkload(config, workload_path);
-        } catch (const FatalError &err) {
-            std::cerr << err.what() << "\n";
-            return 1;
+        } catch (const FatalError &) {
+            return 1; // fatal() already printed the message
         }
         for (DagPtr &dag : dags)
             soc.submit(dag, 0, config.continuous);

@@ -34,6 +34,7 @@
  */
 
 #include <algorithm>
+#include <climits>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -43,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cli.hh"
 #include "kernels/filters.hh"
 #include "kernels/simd/simd.hh"
 #include "sim/build_info.hh"
@@ -337,47 +339,40 @@ main(int argc, char **argv)
     int min_reps = 8;
     double min_ms = -1.0; // default depends on --smoke
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto need_value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "flag " << arg << " needs a value\n";
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--out") {
-            out_path = need_value();
-        } else if (arg == "--smoke") {
-            smoke = true;
-        } else if (arg == "--kernel-isa") {
-            try {
+    // fatal() prints its own message; a flag error just exits 1.
+    try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            auto need_value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    fatal("flag ", arg, " needs a value");
+                return argv[++i];
+            };
+            if (arg == "--out") {
+                out_path = need_value();
+            } else if (arg == "--smoke") {
+                smoke = true;
+            } else if (arg == "--kernel-isa") {
                 setKernelIsa(kernelIsaFromName(need_value()));
-            } catch (const FatalError &err) {
-                std::cerr << err.what() << "\n";
-                return 1;
+            } else if (arg == "--reps") {
+                min_reps = int(parseCountFlag(arg, need_value(), INT_MAX));
+                if (min_reps < 1)
+                    fatal("--reps needs a positive count");
+            } else if (arg == "--min-ms") {
+                min_ms = parseNumberFlag(arg, need_value());
+                if (min_ms <= 0.0)
+                    fatal("--min-ms needs a positive value");
+            } else if (arg == "--help" || arg == "-h") {
+                std::cout << "usage: relief_kernel_bench [--out FILE] "
+                             "[--kernel-isa NAME] [--smoke] [--reps N] "
+                             "[--min-ms X]\n";
+                return 0;
+            } else {
+                fatal("unknown flag '", arg, "'");
             }
-        } else if (arg == "--reps") {
-            min_reps = std::atoi(need_value().c_str());
-            if (min_reps < 1) {
-                std::cerr << "--reps needs a positive count\n";
-                return 1;
-            }
-        } else if (arg == "--min-ms") {
-            min_ms = std::atof(need_value().c_str());
-            if (min_ms <= 0.0) {
-                std::cerr << "--min-ms needs a positive value\n";
-                return 1;
-            }
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout << "usage: relief_kernel_bench [--out FILE] "
-                         "[--kernel-isa NAME] [--smoke] [--reps N] "
-                         "[--min-ms X]\n";
-            return 0;
-        } else {
-            std::cerr << "unknown flag '" << arg << "'\n";
-            return 1;
         }
+    } catch (const FatalError &) {
+        return 1;
     }
     if (min_ms <= 0.0)
         min_ms = smoke ? 2.0 : 20.0;

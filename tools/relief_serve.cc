@@ -47,6 +47,7 @@
  *   --debug-flags LIST   debug categories, e.g. Serve,Sched
  */
 
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -82,7 +83,7 @@ main(int argc, char **argv)
                 config.soc.policy = policyFromName(need_value());
             } else if (arg == "--rate") {
                 config.arrival.ratePerSec =
-                    std::atof(need_value().c_str());
+                    parseNumberFlag(arg, need_value());
                 if (config.arrival.ratePerSec <= 0.0)
                     fatal("--rate needs a positive value");
             } else if (arg == "--arrival") {
@@ -91,22 +92,21 @@ main(int argc, char **argv)
                 config.arrival.tracePath = need_value();
             } else if (arg == "--burst-mult") {
                 config.arrival.burstRateMultiplier =
-                    std::atof(need_value().c_str());
+                    parseNumberFlag(arg, need_value());
             } else if (arg == "--burst-frac") {
                 config.arrival.burstFraction =
-                    std::atof(need_value().c_str());
+                    parseNumberFlag(arg, need_value());
             } else if (arg == "--admission") {
                 config.admission.kind = admissionFromName(need_value());
             } else if (arg == "--queue-cap") {
                 config.admission.queueCap =
-                    std::atoi(need_value().c_str());
+                    int(parseCountFlag(arg, need_value(), INT_MAX));
             } else if (arg == "--horizon-ms") {
-                horizon_ms = std::atof(need_value().c_str());
+                horizon_ms = parseNumberFlag(arg, need_value());
                 if (horizon_ms <= 0.0)
                     fatal("--horizon-ms needs a positive value");
             } else if (arg == "--seed") {
-                config.seed =
-                    std::uint64_t(std::atoll(need_value().c_str()));
+                config.seed = parseCountFlag(arg, need_value());
             } else if (arg == "--stats-json") {
                 stats_json_path = need_value();
             } else if (arg == "--out") {
@@ -120,7 +120,7 @@ main(int argc, char **argv)
                 config.telemetry.traceRequests = true;
             } else if (arg == "--sample-ok") {
                 config.telemetry.okFraction =
-                    std::atof(need_value().c_str());
+                    parseNumberFlag(arg, need_value());
                 if (config.telemetry.okFraction < 0.0 ||
                     config.telemetry.okFraction > 1.0) {
                     fatal("--sample-ok needs a fraction in [0, 1]");
@@ -128,7 +128,7 @@ main(int argc, char **argv)
             } else if (arg == "--expo") {
                 config.telemetry.exposition.path = need_value();
             } else if (arg == "--expo-period-us") {
-                double us = std::atof(need_value().c_str());
+                double us = parseNumberFlag(arg, need_value());
                 if (us <= 0.0)
                     fatal("--expo-period-us needs a positive value");
                 config.telemetry.exposition.period = fromUs(us);
@@ -137,17 +137,17 @@ main(int argc, char **argv)
             } else if (arg == "--alerts") {
                 config.telemetry.alerts = true;
             } else if (arg == "--slo-target") {
-                double target = std::atof(need_value().c_str());
+                double target = parseNumberFlag(arg, need_value());
                 if (target <= 0.0 || target >= 1.0)
                     fatal("--slo-target needs a value in (0, 1)");
                 config.telemetry.burnRate.sloTarget = target;
             } else if (arg == "--alert-fast-ms") {
-                double ms = std::atof(need_value().c_str());
+                double ms = parseNumberFlag(arg, need_value());
                 if (ms <= 0.0)
                     fatal("--alert-fast-ms needs a positive value");
                 config.telemetry.burnRate.fastWindow = fromMs(ms);
             } else if (arg == "--alert-slow-ms") {
-                double ms = std::atof(need_value().c_str());
+                double ms = parseNumberFlag(arg, need_value());
                 if (ms <= 0.0)
                     fatal("--alert-slow-ms needs a positive value");
                 config.telemetry.burnRate.slowWindow = fromMs(ms);
@@ -241,9 +241,8 @@ main(int argc, char **argv)
             out << "\n  ],\n  \"saturation\": []\n}\n";
             std::cout << "\nserve JSON written to " << out_path << "\n";
         }
-    } catch (const FatalError &err) {
-        std::cerr << err.what() << "\n";
-        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
     }
     return 0;
 }

@@ -68,9 +68,8 @@ main(int argc, char **argv)
     ExperimentConfig config;
     try {
         config = parseCliOptions(args);
-    } catch (const FatalError &err) {
-        std::cerr << err.what() << "\n";
-        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
     }
 
     // Start the host-time meter before the platform exists so model
@@ -93,9 +92,8 @@ main(int argc, char **argv)
             for (AppId app : parseMix(config.mix))
                 dags.push_back(buildApp(app, config.app));
         }
-    } catch (const FatalError &err) {
-        std::cerr << err.what() << "\n";
-        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
     }
     for (DagPtr &dag : dags) {
         if (!dot_dir.empty()) {
